@@ -74,11 +74,12 @@ cmake --build build-asan -j --target \
 'CoreXprod.MixedHierVerifyFlatInvalRegression:CoreXprod.SpecMemResolutionAcrossSchemes:CoreXprod.SparseDenseIdentityAcrossSchemes'
 # The trace frontend moves raw bytes through fixed-layout structs and
 # hand-rolled buffers — exactly ASan/UBSan territory. Run the strict-
-# reader rejection cases and one full record/replay round trip (queens
-# covers both window sizes and both sweep kinds).
+# reader rejection cases (burst-seam defects included), the content-
+# hash tests and one full record/replay round trip (queens covers both
+# window sizes and both sweep kinds).
 cmake --build build-asan -j --target test_trace
 ./build-asan/tests/test_trace --gtest_filter=\
-'TraceReject.*:TraceRoundTrip.Queens:TraceWorkload.*'
+'TraceReject.*:TraceHash.*:TraceRoundTrip.Queens:TraceWorkload.*'
 # Snapshot serialization moves raw bytes through tagged sections, and
 # the full-warmup shard merge walks every seam-coalescing path
 # (interval halves, ledger carries) over slot-indexed state — both
@@ -264,6 +265,27 @@ echo "== tier-1: trace record/replay identity =="
     | sed "s|trace:$obs_dir/queens.vst|queens|" \
     | diff - "$obs_dir/direct_512.txt"
 echo "trace replay identical to direct simulation (window 48 and 512)"
+
+echo "== tier-1: trace load memory gate =="
+# The loader streams the records and keeps only the decoded trace
+# (~40 B per instruction); holding the whole raw record array beside it
+# as well costs ~88 B. Replay a ~4M-instruction trace under an address-
+# space limit of 64 MB (binary, stacks, allocator) plus 60 B per
+# instruction: the streaming loader fits with ~80 MB to spare, a
+# loader that keeps the record array exceeds it by ~40 MB or more.
+mem_trace="$obs_dir/queens_mem.vst"
+mem_insts=$(./build/tools/vspec_tracegen --workload queens --scale 10 \
+    -o "$mem_trace" | sed -n 's/^wrote .*: \([0-9]*\) records.*/\1/p')
+mem_limit_kb=$(( 64 * 1024 + mem_insts * 60 / 1024 ))
+if ! (ulimit -v "$mem_limit_kb"
+      ./build/tools/vspec_run --trace "$mem_trace" --base --sample 2 \
+          --sample-interval-insts 100000 >/dev/null 2>&1); then
+    echo "trace replay of $mem_insts insts did not fit in" \
+         "$((mem_limit_kb / 1024)) MB of address space" >&2
+    exit 1
+fi
+rm -f "$mem_trace"
+echo "$mem_insts-inst trace replayed within $((mem_limit_kb / 1024)) MB"
 
 echo "== tier-1: sharded run identity (full warmup) =="
 # At full warmup (the default) the shard partition is exact: every

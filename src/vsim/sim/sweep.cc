@@ -34,7 +34,8 @@ jobKey(const SweepJob &job)
     // Workload identity. A trace workload's identity is its content,
     // not its path: the same path can hold a different recording
     // across tool invocations, so the key carries the file's hash
-    // (memoised per path — stable for the life of the process).
+    // (memoised per path and file identity, so a file re-recorded in
+    // place while the process lives is hashed again).
     os << job.workload << '@' << job.scale;
     if (isTraceWorkload(job.workload)) {
         os << '#' << std::hex

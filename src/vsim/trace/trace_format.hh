@@ -115,7 +115,7 @@ struct TraceFooter
 
 static_assert(sizeof(TraceFooter) == 16, "trace footer layout drifted");
 
-// ---- FNV-1a 64 (the payload digest and the RunCache content hash) -----
+// ---- FNV-1a 64 (the payload digest; also the disk cache's checksums) --
 
 constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ull;
 constexpr std::uint64_t kFnvPrime = 0x100000001b3ull;

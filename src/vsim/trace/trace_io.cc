@@ -1,5 +1,12 @@
 #include "trace_io.hh"
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
+#include <algorithm>
+#include <bit>
+#include <cerrno>
 #include <cstring>
 #include <map>
 #include <mutex>
@@ -15,7 +22,7 @@ namespace
 /** Records buffered per write/read burst (192 KiB of 48-byte records). */
 constexpr std::size_t kBurstRecords = 4096;
 
-/** Chunk size for whole-file hashing and image reads. */
+/** Chunk size for whole-file hashing (a multiple of the 32-byte stripe). */
 constexpr std::size_t kChunkBytes = 256 * 1024;
 
 } // namespace
@@ -160,85 +167,152 @@ TraceWriter::finalize(const std::string &output, std::uint64_t exit_code)
 namespace
 {
 
+/** What tells one version of a file on disk from another. */
+struct FileId
+{
+    std::uint64_t size = 0;
+    std::int64_t mtimeNs = 0;
+    std::uint64_t dev = 0;
+    std::uint64_t ino = 0;
+
+    bool operator==(const FileId &) const = default;
+};
+
 /**
- * Validate one record's static fields: a record must describe an
+ * Read-only descriptor on a regular file. O_NONBLOCK keeps the open of
+ * a FIFO from waiting for a writer, so a directory, FIFO or device is
+ * rejected by the fstat that follows (reads of a regular file ignore
+ * the flag).
+ */
+class InputFile
+{
+  public:
+    explicit InputFile(const std::string &path_) : path(path_)
+    {
+        fd = ::open(path.c_str(), O_RDONLY | O_NONBLOCK | O_CLOEXEC);
+        if (fd < 0)
+            VSIM_FATAL("cannot open trace file: ", path);
+        struct stat st;
+        if (::fstat(fd, &st) != 0 || !S_ISREG(st.st_mode)) {
+            ::close(fd);
+            VSIM_FATAL("not a regular file: ", path);
+        }
+    }
+
+    ~InputFile() { ::close(fd); }
+
+    InputFile(const InputFile &) = delete;
+    InputFile &operator=(const InputFile &) = delete;
+
+    /** Identity of the open file (not of whatever the path names now). */
+    FileId
+    id() const
+    {
+        struct stat st;
+        if (::fstat(fd, &st) != 0)
+            VSIM_FATAL("cannot stat trace file: ", path);
+        return {static_cast<std::uint64_t>(st.st_size),
+                static_cast<std::int64_t>(st.st_mtim.tv_sec) * 1'000'000'000
+                    + st.st_mtim.tv_nsec,
+                static_cast<std::uint64_t>(st.st_dev),
+                static_cast<std::uint64_t>(st.st_ino)};
+    }
+
+    /** Read up to @p len bytes; comes up short only at end of file. */
+    std::uint64_t
+    readSome(void *bytes, std::uint64_t len)
+    {
+        char *p = static_cast<char *>(bytes);
+        std::uint64_t done = 0;
+        while (done < len) {
+            const ssize_t n = ::read(fd, p + done, len - done);
+            if (n == 0)
+                break;
+            if (n < 0) {
+                if (errno == EINTR)
+                    continue;
+                VSIM_FATAL("read failed on trace file: ", path);
+            }
+            done += static_cast<std::uint64_t>(n);
+        }
+        return done;
+    }
+
+    /** Read exactly @p len bytes or reject the file as truncated. */
+    void
+    read(void *bytes, std::uint64_t len)
+    {
+        if (readSome(bytes, len) != len)
+            VSIM_FATAL("truncated trace file: ", path);
+    }
+
+  private:
+    std::string path;
+    int fd = -1;
+};
+
+/**
+ * Check one record's static fields: a record must describe an
  * instruction the decoder could have produced, lie inside the text
  * image, and carry internally consistent memory/control metadata.
+ * @return nullptr if the record is sane, else what is wrong with it
  */
-void
-validateRecord(const TraceRecord &rec, std::uint64_t index,
-               const TraceHeader &hdr, const std::string &path)
+const char *
+validateRecord(const TraceRecord &rec, const TraceHeader &hdr)
 {
-    auto bad = [&](const char *what) {
-        VSIM_FATAL("corrupt trace record #", index, " in ", path, ": ",
-                   what);
-    };
-
     if (rec.op >= static_cast<std::uint8_t>(isa::kNumOps))
-        bad("opcode out of range");
+        return "opcode out of range";
     if (rec.ra >= isa::kNumRegs || rec.rb >= isa::kNumRegs
         || rec.rc >= isa::kNumRegs)
-        bad("register field out of range");
+        return "register field out of range";
 
     const isa::Inst inst{static_cast<isa::Op>(rec.op), rec.ra, rec.rb,
                          rec.rc, rec.imm};
     switch (inst.info().fmt) {
       case isa::Format::F_RRR:
         if (rec.imm != 0)
-            bad("nonzero immediate on an R-type record");
+            return "nonzero immediate on an R-type record";
         break;
       case isa::Format::F_RRI:
         if (rec.rc != 0)
-            bad("nonzero rc on an I-type record");
+            return "nonzero rc on an I-type record";
         if (rec.imm < -(1 << 14) || rec.imm >= (1 << 14))
-            bad("imm15 out of range");
+            return "imm15 out of range";
         break;
       case isa::Format::F_RI20:
         if (rec.rb != 0 || rec.rc != 0)
-            bad("nonzero rb/rc on a RI20-type record");
+            return "nonzero rb/rc on a RI20-type record";
         if (rec.imm < -(1 << 19) || rec.imm >= (1 << 19))
-            bad("imm20 out of range");
+            return "imm20 out of range";
         break;
     }
 
     const std::uint64_t text_end = hdr.textBase + 4ull * hdr.textWords;
     if (rec.pc < hdr.textBase || rec.pc >= text_end || rec.pc % 4 != 0)
-        bad("pc outside the text image");
+        return "pc outside the text image";
     if (rec.memSize != static_cast<std::uint8_t>(inst.memSize()))
-        bad("memSize does not match the opcode");
+        return "memSize does not match the opcode";
     if (!inst.isMem() && rec.memAddr != 0)
-        bad("memory address on a non-memory record");
+        return "memory address on a non-memory record";
     if (rec.taken != (rec.target != rec.pc + 4 ? 1 : 0))
-        bad("taken flag contradicts the target");
+        return "taken flag contradicts the target";
     for (std::uint8_t p : rec.pad) {
         if (p != 0)
-            bad("nonzero pad bytes");
+            return "nonzero pad bytes";
     }
+    return nullptr;
 }
 
 } // namespace
 
-TraceReader::TraceReader(const std::string &path_) : path(path_)
+TraceReader::TraceReader(const std::string &path)
 {
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        VSIM_FATAL("cannot open trace file: ", path);
-
-    in.seekg(0, std::ios::end);
-    const std::uint64_t file_size =
-        static_cast<std::uint64_t>(in.tellg());
-    in.seekg(0);
-
-    auto get = [&](void *bytes, std::uint64_t len) {
-        in.read(static_cast<char *>(bytes),
-                static_cast<std::streamsize>(len));
-        if (!in || static_cast<std::uint64_t>(in.gcount()) != len)
-            VSIM_FATAL("truncated trace file: ", path);
-    };
+    InputFile in(path);
+    const std::uint64_t file_size = in.id().size;
 
     if (file_size < sizeof(TraceHeader) + sizeof(TraceFooter))
         VSIM_FATAL("trace file too small to be valid: ", path);
-    get(&hdr, sizeof(hdr));
+    in.read(&hdr, sizeof(hdr));
 
     if (hdr.magic != kTraceMagic)
         VSIM_FATAL("not a VSIM trace (bad magic): ", path);
@@ -263,7 +337,8 @@ TraceReader::TraceReader(const std::string &path_) : path(path_)
         VSIM_FATAL("trace entry point outside the text image: ", path);
 
     // Exact length check: catches truncation and trailing garbage
-    // before we commit to reading the sections.
+    // before we commit to reading the sections. It also bounds
+    // recordCount by the file size, so the reserve below is safe.
     const std::uint64_t payload = file_size - sizeof(TraceHeader)
                                   - sizeof(TraceFooter);
     if (hdr.recordCount > payload / sizeof(TraceRecord))
@@ -279,101 +354,92 @@ TraceReader::TraceReader(const std::string &path_) : path(path_)
 
     std::uint64_t digest = kFnvOffset;
 
+    assembler::Program &prog = loaded.program;
     prog.textBase = hdr.textBase;
     prog.dataBase = hdr.dataBase;
     prog.stackTop = hdr.stackTop;
     prog.entry = hdr.entry;
     prog.text.resize(hdr.textWords);
-    get(prog.text.data(), 4ull * hdr.textWords);
+    in.read(prog.text.data(), 4ull * hdr.textWords);
     digest = fnv1a(prog.text.data(), 4ull * hdr.textWords, digest);
     if (hdr.dataBytes) {
         prog.data.resize(hdr.dataBytes);
-        get(prog.data.data(), hdr.dataBytes);
+        in.read(prog.data.data(), hdr.dataBytes);
         digest = fnv1a(prog.data.data(), hdr.dataBytes, digest);
     }
 
-    records.resize(hdr.recordCount);
+    // The records, one burst at a time: digest, check, decode. Each
+    // record must be a decodable instruction, the correct path must
+    // chain (record i's target is record i+1's pc, across burst seams
+    // too), and only the last record may be (and must be) a HALT. The
+    // first defect is held back until the digest has been checked, so
+    // the records after it are only digested.
+    arch::ExecTrace &trace = loaded.trace;
+    trace.entries.reserve(hdr.recordCount);
+    std::vector<TraceRecord> burst_buf(
+        std::min<std::uint64_t>(kBurstRecords, hdr.recordCount));
+    const char *defect = nullptr;
+    std::uint64_t defect_index = 0;
+    std::uint64_t prev_target = 0;
     for (std::uint64_t done = 0; done < hdr.recordCount;) {
         const std::uint64_t burst =
             std::min<std::uint64_t>(kBurstRecords, hdr.recordCount - done);
-        get(&records[done], burst * sizeof(TraceRecord));
-        digest = fnv1a(&records[done], burst * sizeof(TraceRecord),
-                       digest);
+        in.read(burst_buf.data(), burst * sizeof(TraceRecord));
+        for (std::uint64_t j = 0; j < burst; ++j) {
+            const TraceRecord &rec = burst_buf[j];
+            // Digesting record by record lets the checks and the decode
+            // below run in the shadow of FNV-1a's serial multiply chain.
+            digest = fnv1a(&rec, sizeof rec, digest);
+            if (defect)
+                continue;
+            const std::uint64_t i = done + j;
+            if (i > 0 && rec.pc != prev_target) {
+                defect = "correct path does not chain to the next record";
+                defect_index = i - 1;
+                continue;
+            }
+            defect = validateRecord(rec, hdr);
+            const bool last = i + 1 == hdr.recordCount;
+            const bool halt =
+                rec.op == static_cast<std::uint8_t>(isa::Op::HALT);
+            if (!defect && halt != last) {
+                defect = last ? "trace does not end in HALT"
+                              : "HALT before the end of the trace";
+            }
+            if (defect) {
+                defect_index = i;
+                continue;
+            }
+            prev_target = rec.target;
+            trace.entries.push_back(makeEntry(rec));
+        }
         done += burst;
     }
 
     if (hdr.outputBytes) {
-        output.resize(hdr.outputBytes);
-        get(output.data(), hdr.outputBytes);
-        digest = fnv1a(output.data(), hdr.outputBytes, digest);
+        trace.output.resize(hdr.outputBytes);
+        in.read(trace.output.data(), hdr.outputBytes);
+        digest = fnv1a(trace.output.data(), hdr.outputBytes, digest);
     }
+    trace.exitCode = hdr.exitCode;
 
     TraceFooter footer;
-    get(&footer, sizeof(footer));
+    in.read(&footer, sizeof(footer));
     if (footer.endMagic != kTraceEndMagic)
         VSIM_FATAL("trace footer marker missing: ", path);
     if (footer.digest != digest) {
         VSIM_FATAL("trace payload digest mismatch (corrupt file): ",
                    path);
     }
-
-    // Per-record and whole-trace structural checks: each record must
-    // be a decodable instruction, the correct path must chain
-    // (record i's target is record i+1's pc), and the trace must end
-    // with exactly one HALT.
-    for (std::uint64_t i = 0; i < records.size(); ++i) {
-        validateRecord(records[i], i, hdr, path);
-        const bool last = i + 1 == records.size();
-        const bool halt =
-            records[i].op == static_cast<std::uint8_t>(isa::Op::HALT);
-        if (halt != last) {
-            VSIM_FATAL("corrupt trace record #", i, " in ", path,
-                       last ? ": trace does not end in HALT"
-                            : ": HALT before the end of the trace");
-        }
-        if (!last && records[i].target != records[i + 1].pc) {
-            VSIM_FATAL("corrupt trace record #", i, " in ", path,
-                       ": correct path does not chain to the next "
-                       "record");
-        }
+    if (defect) {
+        VSIM_FATAL("corrupt trace record #", defect_index, " in ", path,
+                   ": ", defect);
     }
-    if (records[0].pc != hdr.entry)
+    if (trace.entries.front().pc != hdr.entry)
         VSIM_FATAL("first trace record is not at the entry point: ",
                    path);
-    if (records.back().target != records.back().pc)
+    if (trace.entries.back().nextPc != trace.entries.back().pc)
         VSIM_FATAL("HALT record target is not its own pc: ", path);
-}
-
-bool
-TraceReader::next(TraceRecord &out)
-{
-    if (cursor >= records.size())
-        return false;
-    out = records[cursor++];
-    return true;
-}
-
-void
-TraceReader::seek(std::uint64_t record_index)
-{
-    if (record_index > records.size()) {
-        VSIM_FATAL("seek to record ", record_index, " of ",
-                   records.size(), " points past the trace footer: ",
-                   path);
-    }
-    cursor = record_index;
-}
-
-arch::ExecTrace
-TraceReader::execTrace() const
-{
-    arch::ExecTrace trace;
-    trace.entries.reserve(records.size());
-    for (const TraceRecord &rec : records)
-        trace.entries.push_back(makeEntry(rec));
-    trace.output = output;
-    trace.exitCode = hdr.exitCode;
-    return trace;
 }
 
 // --------------------------------------------------------------------
@@ -382,8 +448,7 @@ TraceReader::execTrace() const
 LoadedTrace
 loadTrace(const std::string &path)
 {
-    TraceReader reader(path);
-    return {reader.program(), reader.execTrace()};
+    return TraceReader(path).release();
 }
 
 std::uint64_t
@@ -405,33 +470,138 @@ recordTrace(const assembler::Program &prog, const std::string &path,
     return writer.recordCount();
 }
 
+namespace
+{
+
+// XXH64 (seed 0): four 64-bit multiply-rotate lanes over 32-byte
+// stripes, then the byte tail, the length and a final avalanche.
+constexpr std::uint64_t kXxPrime1 = 0x9e3779b185ebca87ull;
+constexpr std::uint64_t kXxPrime2 = 0xc2b2ae3d27d4eb4full;
+constexpr std::uint64_t kXxPrime3 = 0x165667b19e3779f9ull;
+constexpr std::uint64_t kXxPrime4 = 0x85ebca77c2b2ae63ull;
+constexpr std::uint64_t kXxPrime5 = 0x27d4eb2f165667c5ull;
+
+std::uint64_t
+load64(const unsigned char *p)
+{
+    std::uint64_t v;
+    std::memcpy(&v, p, sizeof v);
+    return v;
+}
+
+std::uint64_t
+xxRound(std::uint64_t acc, std::uint64_t lane)
+{
+    acc += lane * kXxPrime2;
+    return std::rotl(acc, 31) * kXxPrime1;
+}
+
+/** Streaming XXH64 over a byte sequence fed in 32-byte stripes. */
+class ContentHash
+{
+  public:
+    /** Fold the whole stripes of @p p; returns the bytes left over. */
+    std::uint64_t
+    stripes(const unsigned char *p, std::uint64_t len)
+    {
+        // Locals, not the members: byte loads may alias the lanes, which
+        // would force a store and reload of all four every stripe.
+        std::uint64_t v0 = lane[0], v1 = lane[1], v2 = lane[2],
+                      v3 = lane[3];
+        const std::uint64_t whole = len - len % 32;
+        for (std::uint64_t i = 0; i < whole; i += 32) {
+            v0 = xxRound(v0, load64(p + i));
+            v1 = xxRound(v1, load64(p + i + 8));
+            v2 = xxRound(v2, load64(p + i + 16));
+            v3 = xxRound(v3, load64(p + i + 24));
+        }
+        lane[0] = v0;
+        lane[1] = v1;
+        lane[2] = v2;
+        lane[3] = v3;
+        total += whole;
+        return len - whole;
+    }
+
+    /** Mix in the final < 32 bytes and the length. */
+    std::uint64_t
+    finish(const unsigned char *p, std::uint64_t len)
+    {
+        std::uint64_t h;
+        if (total >= 32) {
+            h = std::rotl(lane[0], 1) + std::rotl(lane[1], 7)
+                + std::rotl(lane[2], 12) + std::rotl(lane[3], 18);
+            for (std::uint64_t v : lane)
+                h = (h ^ xxRound(0, v)) * kXxPrime1 + kXxPrime4;
+        } else {
+            h = kXxPrime5;
+        }
+        h += total + len;
+        for (; len >= 8; p += 8, len -= 8)
+            h = std::rotl(h ^ xxRound(0, load64(p)), 27) * kXxPrime1
+                + kXxPrime4;
+        if (len >= 4) {
+            std::uint32_t w;
+            std::memcpy(&w, p, sizeof w);
+            h = std::rotl(h ^ (w * kXxPrime1), 23) * kXxPrime2 + kXxPrime3;
+            p += 4;
+            len -= 4;
+        }
+        for (; len > 0; ++p, --len)
+            h = std::rotl(h ^ (*p * kXxPrime5), 11) * kXxPrime1;
+        h ^= h >> 33;
+        h *= kXxPrime2;
+        h ^= h >> 29;
+        h *= kXxPrime3;
+        return h ^ (h >> 32);
+    }
+
+  private:
+    std::uint64_t lane[4] = {kXxPrime1 + kXxPrime2, kXxPrime2, 0,
+                             0 - kXxPrime1};
+    std::uint64_t total = 0;
+};
+
+} // namespace
+
 std::uint64_t
 traceFileHash(const std::string &path)
 {
+    struct Memo
+    {
+        FileId id;
+        std::uint64_t hash;
+    };
     static std::mutex mutex;
-    static std::map<std::string, std::uint64_t> cache;
+    static std::map<std::string, Memo> cache;
+
+    InputFile in(path);
+    const FileId before = in.id();
     {
         std::lock_guard<std::mutex> lock(mutex);
-        if (auto it = cache.find(path); it != cache.end())
-            return it->second;
+        if (auto it = cache.find(path);
+            it != cache.end() && it->second.id == before)
+            return it->second.hash;
     }
 
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        VSIM_FATAL("cannot open trace file: ", path);
-    std::vector<char> chunk(kChunkBytes);
-    std::uint64_t hash = kFnvOffset;
-    while (in) {
-        in.read(chunk.data(),
-                static_cast<std::streamsize>(chunk.size()));
-        hash = fnv1a(chunk.data(),
-                     static_cast<std::uint64_t>(in.gcount()), hash);
+    // Every chunk but the last is full (readSome is short only at end
+    // of file), so only the last one leaves a partial stripe.
+    std::vector<unsigned char> chunk(kChunkBytes);
+    ContentHash hasher;
+    std::uint64_t hash = 0;
+    for (;;) {
+        const std::uint64_t n = in.readSome(chunk.data(), chunk.size());
+        const std::uint64_t rest = hasher.stripes(chunk.data(), n);
+        if (n < chunk.size()) {
+            hash = hasher.finish(chunk.data() + (n - rest), rest);
+            break;
+        }
     }
-    if (!in.eof())
-        VSIM_FATAL("read failed hashing trace file: ", path);
+    if (in.id() != before)
+        VSIM_FATAL("trace file changed while it was being hashed: ", path);
 
     std::lock_guard<std::mutex> lock(mutex);
-    cache.emplace(path, hash);
+    cache[path] = {before, hash};
     return hash;
 }
 

@@ -3,10 +3,10 @@
  * Reading and writing ".vst" dynamic instruction traces (see
  * trace_format.hh for the on-disk layout). The writer streams records
  * with buffered I/O and patches the header on finalize(); the reader
- * validates the whole file strictly — magic, version, structure
- * sizes, exact file length (truncation / trailing garbage), record
- * sanity and the footer digest — before handing anything to the
- * timing core. Every I/O or validation failure raises
+ * validates the whole file strictly in one streaming pass — magic,
+ * version, structure sizes, exact file length (truncation / trailing
+ * garbage), record sanity and the footer digest — before handing
+ * anything to the timing core. Every I/O or validation failure raises
  * vsim::FatalError so tools exit nonzero instead of replaying junk.
  */
 
@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "trace_format.hh"
@@ -67,13 +68,30 @@ class TraceWriter
     bool finalized = false;
 };
 
+/** A trace materialised for replay through the timing core. */
+struct LoadedTrace
+{
+    assembler::Program program;
+    arch::ExecTrace trace;
+};
+
 /**
- * Validating trace loader. The constructor reads the entire file in
- * buffered chunks, verifying structure and the footer digest, and
- * rejecting malformed, truncated or unfinalized files with
- * vsim::FatalError. Afterwards program() and execTrace() expose the
- * reconstructed static image and dynamic trace, and next() iterates
- * the validated records in order.
+ * Validating trace loader. The constructor checks the header and the
+ * exact file length, then makes one streaming pass over the payload:
+ * each burst of up to 4096 records is read into a fixed buffer, folded
+ * into the FNV-1a footer digest, checked record by record (decodable
+ * instruction, pc inside the text image, pc->target chaining carried
+ * across burst seams, HALT only at the end) and decoded straight into
+ * the trace's entries, which are reserved once from the header's
+ * recordCount. No copy of the raw records is ever held, so peak memory
+ * is the decoded trace itself (~40 B per instruction) plus one burst.
+ *
+ * Nothing is returned before the footer digest and the whole-trace
+ * checks (first record at the entry point, HALT target) pass. A digest
+ * mismatch takes precedence over a record defect, so a corrupted file
+ * is reported as corrupt rather than by the first bad field it
+ * happens to produce. Non-regular paths (directories, FIFOs) are
+ * rejected up front. Every defect raises vsim::FatalError.
  */
 class TraceReader
 {
@@ -81,45 +99,14 @@ class TraceReader
     explicit TraceReader(const std::string &path);
 
     const TraceHeader &header() const { return hdr; }
-    const assembler::Program &program() const { return prog; }
-    std::uint64_t recordCount() const { return records.size(); }
+    std::uint64_t recordCount() const { return hdr.recordCount; }
 
-    /** Iterate validated records; returns false when exhausted. */
-    bool next(TraceRecord &out);
-
-    /**
-     * Reposition the next() cursor to @p record_index. O(1) by
-     * construction of the v1 layout: the header is fixed-size (80
-     * bytes) and every record is a fixed 48 bytes, so a record's file
-     * position is a pure offset computation — and this reader holds
-     * the validated records in memory, making the seek a cursor
-     * assignment. @p record_index == recordCount() is allowed and
-     * leaves the reader exhausted; anything beyond that points past
-     * the footer and raises vsim::FatalError instead of letting
-     * next() silently come up short.
-     */
-    void seek(std::uint64_t record_index);
-
-    /** Index of the record the next next() call returns. */
-    std::uint64_t tell() const { return cursor; }
-
-    /** Rebuild the functional-core trace (records + output + exit). */
-    arch::ExecTrace execTrace() const;
+    /** Move the program and trace out; the reader is spent after. */
+    LoadedTrace release() { return std::move(loaded); }
 
   private:
     TraceHeader hdr;
-    assembler::Program prog;
-    std::vector<TraceRecord> records;
-    std::string output;
-    std::string path;
-    std::uint64_t cursor = 0;
-};
-
-/** A trace materialised for replay through the timing core. */
-struct LoadedTrace
-{
-    assembler::Program program;
-    arch::ExecTrace trace;
+    LoadedTrace loaded;
 };
 
 /** Load and validate @p path (throws vsim::FatalError on any defect). */
@@ -135,9 +122,15 @@ std::uint64_t recordTrace(const assembler::Program &prog,
                           std::uint64_t max_insts = 500'000'000);
 
 /**
- * FNV-1a content hash of the raw file bytes at @p path, memoised per
- * path (thread-safe). Used by the SweepRunner jobKey so the RunCache
- * distinguishes different trace files that share a path across runs.
+ * Content hash of every byte of the file at @p path: the RunCache /
+ * jobKey identity of a trace workload. An XXH64 pass (four 64-bit
+ * multiply-rotate lanes over 32-byte stripes, then the byte tail and
+ * the length), several times faster than the byte-serial FNV-1a footer
+ * digest, which stays the format's own checksum. Memoised per path and
+ * file identity (size, mtime in ns, device, inode; thread-safe), so a
+ * file re-recorded in place is re-hashed instead of aliasing its old
+ * key. Throws vsim::FatalError for a missing or non-regular path, or a
+ * file that changes while it is being hashed.
  */
 std::uint64_t traceFileHash(const std::string &path);
 

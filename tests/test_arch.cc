@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
 #include "vsim/arch/exec.hh"
 #include "vsim/arch/functional_core.hh"
 #include "vsim/assembler/assembler.hh"
@@ -36,12 +38,25 @@ makeInst(Op op, int ra, int rb, int rc, int imm)
 
 // ---- evaluate(): ALU semantics ---------------------------------------
 
+// gtest names each case by a hex dump of the struct's bytes, so the
+// struct must have no padding: uninitialised padding bytes would give a
+// case a different name from one build or run to the next. The opcode is
+// held widened to 64 bits, which dumps as the opcode byte then zeros.
 struct AluCase
 {
-    Op op;
+    AluCase(Op op_, std::uint64_t a_, std::uint64_t b_,
+            std::uint64_t expect_)
+        : op(static_cast<std::uint64_t>(op_)), a(a_), b(b_),
+          expect(expect_)
+    {
+    }
+
+    std::uint64_t op;
     std::uint64_t a, b;
     std::uint64_t expect;
 };
+static_assert(std::has_unique_object_representations_v<AluCase>,
+              "AluCase must have no padding bytes");
 
 class AluSemantics : public ::testing::TestWithParam<AluCase>
 {
@@ -50,7 +65,7 @@ class AluSemantics : public ::testing::TestWithParam<AluCase>
 TEST_P(AluSemantics, RTypeResult)
 {
     const AluCase &c = GetParam();
-    const Inst inst = makeInst(c.op, 1, 2, 3, 0);
+    const Inst inst = makeInst(static_cast<Op>(c.op), 1, 2, 3, 0);
     // ra_val unused for R-type ALU; rb_val = a, rc_val = b.
     const ExecOut out = evaluate(inst, 0x1000, 0, c.a, c.b);
     EXPECT_EQ(out.value, c.expect);

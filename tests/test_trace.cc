@@ -10,14 +10,17 @@
  *     legacy dense scans).
  *
  *  2. Strict-reader rejection: truncated, corrupted, unfinalized or
- *     garbage-extended trace files must raise vsim::FatalError, never
- *     replay junk.
+ *     garbage-extended trace files must raise vsim::FatalError through
+ *     loadTrace, never replay junk — including defects at the
+ *     streaming loader's burst seams — and the RunCache content hash
+ *     must cover every byte and follow in-place rewrites.
  *
  *  3. Report-writer regressions riding in the same PR: RFC-4180 CSV
  *     quoting, JSON string escaping, and writeFile failure paths.
  */
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdint>
 #include <cstdio>
@@ -144,54 +147,6 @@ TEST(TraceRoundTrip, Vortex) { roundTripBothWindows("vortex"); }
 TEST(TraceRoundTrip, Queens) { roundTripBothWindows("queens"); }
 
 /**
- * Cursor repositioning: seek() is an O(1) record-offset jump (the v1
- * layout is fixed-size), tell() reports the next record's index, a
- * seek to recordCount() leaves the reader exhausted, and anything
- * past the footer raises FatalError instead of short iteration.
- */
-TEST(TraceSeek, SeekTellAndPastFooterRejection)
-{
-    const auto prog =
-        workloads::buildProgram(workloads::byName("queens"), 1);
-    const std::string path = tmpPath("seek");
-    const std::uint64_t count = trace::recordTrace(prog, path);
-    ASSERT_GT(count, 10u);
-
-    trace::TraceReader r(path);
-    ASSERT_EQ(r.recordCount(), count);
-    EXPECT_EQ(r.tell(), 0u);
-
-    trace::TraceRecord first;
-    ASSERT_TRUE(r.next(first));
-    EXPECT_EQ(r.tell(), 1u);
-
-    // Jump forward, read, and confirm the cursor tracks the seek.
-    r.seek(count / 2);
-    EXPECT_EQ(r.tell(), count / 2);
-    trace::TraceRecord mid;
-    ASSERT_TRUE(r.next(mid));
-    EXPECT_EQ(r.tell(), count / 2 + 1);
-
-    // Rewind to the start: the same first record comes back.
-    r.seek(0);
-    trace::TraceRecord again;
-    ASSERT_TRUE(r.next(again));
-    EXPECT_EQ(again.pc, first.pc);
-    EXPECT_EQ(again.value, first.value);
-
-    // Seeking to recordCount() is allowed and leaves it exhausted.
-    r.seek(count);
-    trace::TraceRecord none;
-    EXPECT_FALSE(r.next(none));
-    EXPECT_EQ(r.tell(), count);
-
-    // One past the footer is a user error, not a silent empty read.
-    EXPECT_THROW(r.seek(count + 1), FatalError);
-
-    std::remove(path.c_str());
-}
-
-/**
  * The "trace:<path>" workload-name plumbing: runWorkload on a trace
  * name must reproduce the direct run of the kernel it was recorded
  * from, and the name helpers must round-trip paths.
@@ -256,6 +211,37 @@ TEST(TraceWorkload, JobKeyHashesTraceContent)
     std::remove(path_b.c_str());
 }
 
+/**
+ * Re-recording a trace in place must change its RunCache identity: the
+ * hash memo is keyed on the file's identity (size, mtime, inode), not
+ * on the path alone, so the rewritten file is hashed afresh and jobKey
+ * no longer aliases the old recording. Recording the first kernel
+ * again restores the original key: the key follows content.
+ */
+TEST(TraceWorkload, RerecordSamePathChangesHashAndKey)
+{
+    const std::string path = tmpPath("rerecord");
+    const auto queens =
+        workloads::buildProgram(workloads::byName("queens"), 1);
+    sim::SweepJob job;
+    job.workload = sim::traceWorkloadName(path);
+    job.cfg = sim::baseConfig({8, 48});
+
+    trace::recordTrace(queens, path);
+    const std::uint64_t hash_queens = trace::traceFileHash(path);
+    const std::string key_queens = sim::jobKey(job);
+
+    trace::recordTrace(
+        workloads::buildProgram(workloads::byName("compress"), 1), path);
+    EXPECT_NE(trace::traceFileHash(path), hash_queens);
+    EXPECT_NE(sim::jobKey(job), key_queens);
+
+    trace::recordTrace(queens, path);
+    EXPECT_EQ(trace::traceFileHash(path), hash_queens);
+    EXPECT_EQ(sim::jobKey(job), key_queens);
+    std::remove(path.c_str());
+}
+
 // ---------------------------------------------------------------------
 // Strict-reader rejection.
 // ---------------------------------------------------------------------
@@ -267,8 +253,12 @@ class TraceReject : public ::testing::Test
     static const std::string &
     validTrace()
     {
+        // Per process: ctest runs each case in its own process, in
+        // parallel, and a shared seed file would be rewritten under
+        // the readers of another case.
         static const std::string path = [] {
-            const std::string p = tmpPath("reject_seed");
+            const std::string p =
+                tmpPath("reject_seed_" + std::to_string(::getpid()));
             trace::recordTrace(
                 workloads::buildProgram(workloads::byName("queens"), 1),
                 p);
@@ -297,49 +287,134 @@ class TraceReject : public ::testing::Test
         return path;
     }
 
+    /** Byte offset of record @p index in trace file @p bytes. */
+    static std::uint64_t
+    recordOffset(const std::vector<char> &bytes, std::uint64_t index)
+    {
+        trace::TraceHeader hdr;
+        std::memcpy(&hdr, bytes.data(), sizeof hdr);
+        return sizeof(trace::TraceHeader)
+               + std::uint64_t(hdr.textWords) * 4 + hdr.dataBytes
+               + index * sizeof(trace::TraceRecord);
+    }
+
+    static std::uint64_t
+    recordCount(const std::vector<char> &bytes)
+    {
+        trace::TraceHeader hdr;
+        std::memcpy(&hdr, bytes.data(), sizeof hdr);
+        return hdr.recordCount;
+    }
+
+    /**
+     * Re-seal an edited file: recompute the footer digest over the
+     * payload so that only the structural defect under test remains.
+     */
     static void
-    expectRejected(const std::string &name, std::vector<char> bytes)
+    resealDigest(std::vector<char> &bytes)
+    {
+        const std::uint64_t end =
+            bytes.size() - sizeof(trace::TraceFooter);
+        const std::uint64_t digest = trace::fnv1a(
+            bytes.data() + sizeof(trace::TraceHeader),
+            end - sizeof(trace::TraceHeader));
+        std::memcpy(bytes.data() + end + 8, &digest, sizeof digest);
+    }
+
+    /** loadTrace's FatalError message for @p path ("" if it loads). */
+    static std::string
+    rejection(const std::string &path)
+    {
+        try {
+            trace::loadTrace(path);
+        } catch (const FatalError &err) {
+            return err.what();
+        }
+        return "";
+    }
+
+    /**
+     * @p bytes must be rejected through loadTrace, the simulator's
+     * entry point, with a message containing @p what.
+     */
+    static void
+    expectRejected(const std::string &name, std::vector<char> bytes,
+                   const std::string &what)
     {
         SCOPED_TRACE(name);
         const std::string path = writeVariant(name, std::move(bytes));
-        EXPECT_THROW(trace::TraceReader r(path), FatalError);
+        const std::string msg = rejection(path);
+        EXPECT_NE(msg.find(what), std::string::npos)
+            << "expected \"" << what << "\" in \"" << msg << "\"";
         std::remove(path.c_str());
     }
 };
 
+/**
+ * The streaming loader must hand back exactly what the functional core
+ * produces: same entry count, same first and last entries.
+ */
 TEST_F(TraceReject, ValidFileLoads)
 {
-    trace::TraceReader r(validTrace());
-    EXPECT_GT(r.recordCount(), 0u);
-    trace::TraceRecord rec;
-    std::uint64_t n = 0;
-    while (r.next(rec))
-        ++n;
-    EXPECT_EQ(n, r.recordCount());
+    const trace::LoadedTrace loaded = trace::loadTrace(validTrace());
+    const arch::ExecTrace want = arch::preExecute(
+        workloads::buildProgram(workloads::byName("queens"), 1));
+    const auto &got = loaded.trace.entries;
+    ASSERT_EQ(got.size(), want.entries.size());
+    ASSERT_GT(got.size(), 2 * 4096u); // spans several read bursts
+    for (const auto &[g, w] :
+         {std::pair{got.front(), want.entries.front()},
+          std::pair{got.back(), want.entries.back()}}) {
+        EXPECT_EQ(g.pc, w.pc);
+        EXPECT_EQ(g.nextPc, w.nextPc);
+        EXPECT_EQ(g.value, w.value);
+        EXPECT_EQ(g.memAddr, w.memAddr);
+        EXPECT_EQ(g.inst.op, w.inst.op);
+        EXPECT_EQ(g.inst.imm, w.inst.imm);
+    }
+    EXPECT_EQ(got.back().inst.op, isa::Op::HALT);
+    EXPECT_EQ(loaded.trace.output, want.output);
+    EXPECT_EQ(loaded.trace.exitCode, want.exitCode);
 }
 
 TEST_F(TraceReject, MissingFile)
 {
-    EXPECT_THROW(trace::TraceReader r(tmpPath("no_such")), FatalError);
+    EXPECT_NE(rejection(tmpPath("no_such")).find("cannot open trace file"),
+              std::string::npos);
+}
+
+TEST_F(TraceReject, Directory)
+{
+    const std::string dir = testing::TempDir();
+    EXPECT_NE(rejection(dir).find("not a regular file"), std::string::npos)
+        << rejection(dir);
+    try {
+        trace::traceFileHash(dir);
+        ADD_FAILURE() << "traceFileHash accepted a directory";
+    } catch (const FatalError &err) {
+        EXPECT_NE(std::string(err.what()).find("not a regular file"),
+                  std::string::npos)
+            << err.what();
+    }
 }
 
 TEST_F(TraceReject, EmptyFile)
 {
-    expectRejected("empty", {});
+    expectRejected("empty", {}, "too small to be valid");
 }
 
 TEST_F(TraceReject, BadMagic)
 {
     auto bytes = readAll(validTrace());
     bytes[0] ^= 0x5a;
-    expectRejected("magic", std::move(bytes));
+    expectRejected("magic", std::move(bytes), "bad magic");
 }
 
 TEST_F(TraceReject, BadVersion)
 {
     auto bytes = readAll(validTrace());
     bytes[4] = 99; // TraceHeader::version
-    expectRejected("version", std::move(bytes));
+    expectRejected("version", std::move(bytes), "unsupported trace version");
 }
 
 TEST_F(TraceReject, UnfinalizedRecordCount)
@@ -347,28 +422,28 @@ TEST_F(TraceReject, UnfinalizedRecordCount)
     auto bytes = readAll(validTrace());
     for (std::uint64_t i = 0; i < 8; ++i)
         bytes[trace::kRecordCountOffset + i] = '\xff';
-    expectRejected("unfinalized", std::move(bytes));
+    expectRejected("unfinalized", std::move(bytes), "unfinalized trace");
 }
 
 TEST_F(TraceReject, TruncatedFooter)
 {
     auto bytes = readAll(validTrace());
     bytes.resize(bytes.size() - sizeof(trace::TraceFooter));
-    expectRejected("trunc_footer", std::move(bytes));
+    expectRejected("trunc_footer", std::move(bytes), "(truncated or corrupt)");
 }
 
 TEST_F(TraceReject, TruncatedMidRecords)
 {
     auto bytes = readAll(validTrace());
     bytes.resize(bytes.size() / 2);
-    expectRejected("trunc_half", std::move(bytes));
+    expectRejected("trunc_half", std::move(bytes), "truncated trace file");
 }
 
 TEST_F(TraceReject, TrailingGarbage)
 {
     auto bytes = readAll(validTrace());
     bytes.push_back('x');
-    expectRejected("trailing", std::move(bytes));
+    expectRejected("trailing", std::move(bytes), "(truncated or corrupt)");
 }
 
 TEST_F(TraceReject, CorruptRecordPayload)
@@ -376,20 +451,141 @@ TEST_F(TraceReject, CorruptRecordPayload)
     // Flip one byte in the value field of the first record: the
     // payload digest in the footer must catch it.
     auto bytes = readAll(validTrace());
-    trace::TraceHeader hdr;
-    std::memcpy(&hdr, bytes.data(), sizeof hdr);
-    const std::uint64_t rec0 = sizeof(trace::TraceHeader)
-                               + std::uint64_t(hdr.textWords) * 4
-                               + hdr.dataBytes;
-    bytes[rec0 + 8] ^= 0x01; // TraceRecord::value
-    expectRejected("payload", std::move(bytes));
+    bytes[recordOffset(bytes, 0) + 8] ^= 0x01; // TraceRecord::value
+    expectRejected("payload", std::move(bytes), "digest mismatch");
 }
 
 TEST_F(TraceReject, CorruptFooterDigest)
 {
     auto bytes = readAll(validTrace());
     bytes[bytes.size() - 1] ^= 0x01;
-    expectRejected("digest", std::move(bytes));
+    expectRejected("digest", std::move(bytes), "digest mismatch");
+}
+
+/**
+ * A pc->target chain break exactly at the first read-burst seam
+ * (records 4095 -> 4096): the chaining check must carry the previous
+ * burst's last target across the refill. Record 4095 keeps a
+ * self-consistent taken flag and the digest is re-sealed, so the
+ * break is the only defect.
+ */
+TEST_F(TraceReject, ChainBreakAtBurstSeam)
+{
+    auto bytes = readAll(validTrace());
+    ASSERT_GT(recordCount(bytes), 4097u);
+    trace::TraceRecord rec;
+    const std::uint64_t off = recordOffset(bytes, 4095);
+    std::memcpy(&rec, bytes.data() + off, sizeof rec);
+    rec.target += 4;
+    rec.taken = rec.target != rec.pc + 4 ? 1 : 0;
+    std::memcpy(bytes.data() + off, &rec, sizeof rec);
+    resealDigest(bytes);
+    expectRejected("seam_chain", std::move(bytes),
+                   "record #4095 in " + tmpPath("reject_seam_chain")
+                       + ": correct path does not chain");
+}
+
+/**
+ * One flipped byte inside the final, partial read burst: every burst
+ * (the short last one included) must be folded into the digest.
+ */
+TEST_F(TraceReject, CorruptFinalPartialBurst)
+{
+    auto bytes = readAll(validTrace());
+    const std::uint64_t n = recordCount(bytes);
+    ASSERT_NE(n % 4096, 0u);
+    const std::uint64_t index = n - n % 4096 + (n % 4096) / 2;
+    bytes[recordOffset(bytes, index) + 8] ^= 0x40; // TraceRecord::value
+    expectRejected("final_burst", std::move(bytes), "digest mismatch");
+}
+
+/**
+ * A bad record in a file whose digest no longer matches is reported as
+ * a corrupt file, exactly as when the digest was checked before any
+ * record; once re-sealed, the same record is named by its defect.
+ */
+TEST_F(TraceReject, DigestMismatchOutranksRecordDefect)
+{
+    auto bytes = readAll(validTrace());
+    const std::uint64_t index = recordCount(bytes) / 3;
+    bytes[recordOffset(bytes, index) + 36] = '\xff'; // TraceRecord::op
+    expectRejected("bad_op_unsealed", bytes, "digest mismatch");
+    resealDigest(bytes);
+    expectRejected("bad_op_sealed", std::move(bytes),
+                   "record #" + std::to_string(index) + " in "
+                       + tmpPath("reject_bad_op_sealed")
+                       + ": opcode out of range");
+}
+
+/**
+ * A trace cut off before its HALT and re-sealed as if complete (count
+ * patched, digest recomputed) must be rejected by the whole-trace
+ * check, not replayed as a program that silently stops.
+ */
+TEST_F(TraceReject, HaltlessTail)
+{
+    auto bytes = readAll(validTrace());
+    const std::uint64_t n = recordCount(bytes);
+    const std::uint64_t halt = recordOffset(bytes, n - 1);
+    bytes.erase(bytes.begin() + static_cast<std::ptrdiff_t>(halt),
+                bytes.begin()
+                    + static_cast<std::ptrdiff_t>(
+                        halt + sizeof(trace::TraceRecord)));
+    const std::uint64_t count = n - 1;
+    std::memcpy(bytes.data() + trace::kRecordCountOffset, &count,
+                sizeof count);
+    resealDigest(bytes);
+    expectRejected("haltless", std::move(bytes),
+                   "trace does not end in HALT");
+}
+
+/** The RunCache content hash, on the rejection fixture's helpers. */
+class TraceHash : public TraceReject
+{};
+
+/**
+ * traceFileHash is a full-content hash: one flipped byte anywhere (the
+ * header, a middle record, the footer) or one appended byte changes
+ * it, and a byte-identical copy at another path hashes the same.
+ */
+TEST_F(TraceHash, CoversEveryByte)
+{
+    const auto bytes = readAll(validTrace());
+    const std::uint64_t base = trace::traceFileHash(validTrace());
+
+    const std::string copy = writeVariant("hash_copy", bytes);
+    EXPECT_EQ(trace::traceFileHash(copy), base);
+    std::remove(copy.c_str());
+
+    auto flipped = [&](const std::string &name, std::uint64_t offset) {
+        SCOPED_TRACE(name);
+        auto v = bytes;
+        v[offset] ^= 0x01;
+        const std::string path = writeVariant(name, v);
+        EXPECT_NE(trace::traceFileHash(path), base);
+        std::remove(path.c_str());
+    };
+    flipped("hash_header", 64); // TraceHeader::exitCode
+    flipped("hash_record",
+            recordOffset(bytes, recordCount(bytes) / 2) + 8);
+    flipped("hash_footer", bytes.size() - 1);
+
+    auto longer = bytes;
+    longer.push_back('\0');
+    const std::string path = writeVariant("hash_trailing", longer);
+    EXPECT_NE(trace::traceFileHash(path), base);
+    std::remove(path.c_str());
+}
+
+/** The content hash is XXH64 (seed 0): pin it to the reference values. */
+TEST_F(TraceHash, MatchesXxh64ReferenceValues)
+{
+    const std::string empty = writeVariant("xxh_empty", {});
+    EXPECT_EQ(trace::traceFileHash(empty), 0xef46db3751d8e999ull);
+    std::remove(empty.c_str());
+    const std::string abc = writeVariant("xxh_abc", {'a', 'b', 'c'});
+    EXPECT_EQ(trace::traceFileHash(abc), 0x44bc2cf5ad770999ull);
+    std::remove(abc.c_str());
 }
 
 TEST_F(TraceReject, WriterRefusesUnwritablePath)

@@ -73,9 +73,9 @@ generate(const vsim::assembler::Program &prog, const std::string &path,
          const std::string &name)
 {
     const std::uint64_t n = vsim::trace::recordTrace(prog, path);
-    // Re-reading applies the reader's full validation (structure,
-    // digest, record sanity), so a bad recording is caught here, not
-    // at replay time.
+    // Re-reading runs the same single validating pass the simulator
+    // loads through (structure, digest, record sanity), so a bad
+    // recording is caught here, not at replay time.
     vsim::trace::TraceReader reader(path);
     VSIM_ASSERT(reader.recordCount() == n,
                 "trace re-read record count mismatch");
