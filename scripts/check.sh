@@ -18,11 +18,17 @@ cmake --build build -j
 
 echo "== tier-1: ctest =="
 (cd build && ctest --output-on-failure -j)
+# Parameterized test names embed a dump of the parameter; two listings
+# must agree or the names ctest registers change from build to build.
+diff <(./build/tests/test_fuzz --gtest_list_tests) \
+     <(./build/tests/test_fuzz --gtest_list_tests)
 
 echo "== tier-1: ThreadSanitizer (test_sweep, test_obs, test_cpi, test_sweepdiff) =="
 cmake -B build-tsan -S . -DVSIM_SANITIZE=thread >/dev/null
 cmake --build build-tsan -j --target test_sweep test_obs test_cpi \
     test_sweepdiff test_shard
+# Includes SharedKernel.*: the kernel memo's mutexes and the weak_ptr
+# hand-off of one pre-executed trace across pool workers.
 ./build-tsan/tests/test_sweep
 ./build-tsan/tests/test_obs
 # CPI-stack / ledger identity across worker counts runs a real pool.
@@ -53,7 +59,8 @@ echo "== tier-1: Address+UB Sanitizer (core, policy, scheduler) =="
 cmake -B build-asan -S . -DVSIM_SANITIZE=address,undefined >/dev/null
 cmake --build build-asan -j --target \
     test_core_base test_core_vspec test_core_misc test_core_xprod \
-    test_policy test_event_queue test_scheduler test_sweepdiff test_cpi
+    test_policy test_event_queue test_scheduler test_sweepdiff test_cpi \
+    test_fuzz
 ./build-asan/tests/test_core_base
 ./build-asan/tests/test_core_vspec
 ./build-asan/tests/test_core_misc
@@ -72,6 +79,11 @@ cmake --build build-asan -j --target \
 # checker (stale-entry pruning touches freed slots) on full windows.
 ./build-asan/tests/test_core_xprod --gtest_filter=\
 'CoreXprod.MixedHierVerifyFlatInvalRegression:CoreXprod.SpecMemResolutionAcrossSchemes:CoreXprod.SparseDenseIdentityAcrossSchemes'
+# Load disambiguation over the per-cycle store table: byte masks and
+# shifts over partial overlaps, straddles and several covering stores
+# at windows 256 and 512 (UBSan sees a bad shift), plus memDeps.
+./build-asan/tests/test_fuzz --gtest_filter=\
+'Seeds/FuzzDifferential.*specmem*:Seeds/FuzzDifferential.*unaligned*'
 # The trace frontend moves raw bytes through fixed-layout structs and
 # hand-rolled buffers — exactly ASan/UBSan territory. Run the strict-
 # reader rejection cases (burst-seam defects included), the content-
@@ -125,6 +137,16 @@ for kind in sparse dense; do
                 | diff - "tests/golden/run_${wl}_${model}_specmem.txt"
         done
     done
+    # The widest windows, where long LSQs keep many loads waiting on
+    # older stores.
+    ./build/tools/vspec_run --workload compress --scale 1 --width 8 \
+        --window 512 --model good --conf always --mem-resolution spec \
+        --sweep-kind "$kind" \
+        | diff - tests/golden/run_compress_w512_good_always_specmem.txt
+    ./build/tools/vspec_run --workload m88k --scale 1 --width 8 \
+        --window 256 --model good --conf always --mem-resolution spec \
+        --sweep-kind "$kind" \
+        | diff - tests/golden/run_m88k_w256_good_always_specmem.txt
     for sweep in base fig3 fig4 confidence predictors verif-latency \
                  reissue-latency; do
         ./build/tools/vspec_sweep "$sweep" --quick --scale 1 --jobs 4 \

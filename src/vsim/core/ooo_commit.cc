@@ -142,10 +142,8 @@ OooCore::applyCompletions()
             // reasoning.
             subsIndex.note(e.slot, e.outDeps);
             e.verifiedAt = std::max(e.verifiedAt, cycle);
-            if (e.inst.isStore()) {
+            if (e.inst.isStore())
                 e.addrReady = true;
-                e.addrReadyAt = cycle;
-            }
             if (tracingEnabled)
                 tracer_.note(e.seq, cycle, "W");
 

@@ -454,7 +454,7 @@ OooCore::registerWaiter(int consumer_slot, int idx, int tag)
 // =====================================================================
 
 obs::CpiCat
-OooCore::classifyCycle(std::uint64_t retired_delta) const
+OooCore::classifyCycle(std::uint64_t retired_delta)
 {
     using obs::CpiCat;
     if (retired_delta > 0)
@@ -568,7 +568,7 @@ OooCore::classifyCycle(std::uint64_t retired_delta) const
             e.src[0].value
             + static_cast<std::uint64_t>(
                   static_cast<std::int64_t>(e.inst.imm));
-        if (!loadOrderingSatisfiedAt(e, addr))
+        if (!disambiguate(e, addr).mayIssue)
             return CpiCat::Memory; // blocked behind older stores
         if (dcachePortsUsed >= cfg.effDcachePorts())
             return CpiCat::Memory; // data-cache ports exhausted

@@ -97,6 +97,23 @@ struct SimOutcome
 using PredictionOverride = std::function<std::optional<std::uint64_t>(
     std::uint64_t pc, std::uint64_t correct_value)>;
 
+/**
+ * One in-flight store as load disambiguation sees it in a cycle: the
+ * fields of its RsEntry that the ordering rule, the forwarding test
+ * and the byte merge read, packed so a load's pass streams a compact
+ * array instead of the window's ~450-byte entries.
+ */
+struct StoreView
+{
+    std::uint64_t seq;
+    std::uint64_t addr; //!< meaningful only when addrKnown
+    std::uint64_t data; //!< the data operand's value
+    int slot;
+    std::uint8_t size;
+    bool addrKnown;  //!< address computed
+    bool dataUsable; //!< data present under the resolution rule
+};
+
 class OooCore : private SpecHooks
 {
   public:
@@ -241,12 +258,28 @@ class OooCore : private SpecHooks
     // ---- backend helpers (ooo_issue.cc / ooo_commit.cc) -----------------
     bool canIssue(const RsEntry &e) const;
     WakeClass classifyWakeup(int slot) const;
-    bool loadOrderingSatisfied(const RsEntry &e) const;
-    bool loadOrderingSatisfiedAt(const RsEntry &e,
-                                 std::uint64_t addr) const;
-    bool loadValue(const RsEntry &e, std::uint64_t &value,
-                   bool &forwarded) const;
-    SpecMask memCarriedDeps(const RsEntry &e) const;
+
+    /** What one disambiguation pass found for a load. */
+    struct LoadCheck
+    {
+        bool mayIssue = true; //!< every older store allows the load
+        /** Load bytes some older store covers (mask over the value). */
+        std::uint64_t covered = 0;
+        /** The youngest covering store's data on those bytes. */
+        std::uint64_t forwarded = 0;
+
+        bool forwards() const { return covered != 0; }
+    };
+    /** The LSQ's stores for the current cycle, rebuilt on first use. */
+    const std::vector<StoreView> &storeTable();
+    /**
+     * One pass over the stores older than load @p e at @p addr: the
+     * ordering rule, forwarding and the forwarded bytes. A non-null
+     * @p mem_deps collects the load's memory-carried dependences
+     * (speculative memory resolution, at issue).
+     */
+    LoadCheck disambiguate(const RsEntry &e, std::uint64_t addr,
+                           SpecMask *mem_deps = nullptr);
     /** Memory ops may resolve with speculative operands (§3.2). */
     bool specMemResolution() const
     {
@@ -286,7 +319,7 @@ class OooCore : private SpecHooks
      * cycle. Reads only deterministic simulation state, so stacks are
      * bit-identical across jobs, sweep kinds, schedulers and replay.
      */
-    obs::CpiCat classifyCycle(std::uint64_t retired_delta) const;
+    obs::CpiCat classifyCycle(std::uint64_t retired_delta);
 
     // ---- speculation-ledger bookkeeping ----------------------------------
     /** A consumer captured @p producer's still-unresolved prediction. */
@@ -352,6 +385,15 @@ class OooCore : private SpecHooks
 
     /** LSQ: slots of in-flight memory instructions in program order. */
     SlotRing lsq;
+    /**
+     * The LSQ's stores in program order, as of the current cycle
+     * (storeTable()). Completions and retirement, the only stages
+     * that change an older store's address, data or presence, run
+     * before issue, and dispatch appends only younger entries, so one
+     * build serves every load checked or issued in the cycle.
+     */
+    std::vector<StoreView> stores;
+    std::uint64_t storesCycle = UINT64_MAX; //!< cycle `stores` describes
 
     // fetch
     struct FetchedInst

@@ -14,7 +14,10 @@
  * from the model's SelectionPolicy (§3.5), so runs are bit-identical.
  * Load store-ordering and data-cache-port constraints are evaluated in
  * the selection loop (not in wakeup): a load blocked by them stays a
- * candidate and retries, exactly as the scan behaved.
+ * candidate and retries, exactly as the scan behaved. Each check is
+ * one pass of disambiguate() over a compact table of the LSQ's stores,
+ * built once per cycle (storeTable); the issuing load's byte merge and
+ * the CPI classifier go through the same routine.
  */
 
 #include "ooo_core.hh"
@@ -27,58 +30,102 @@
 namespace vsim::core
 {
 
-bool
-OooCore::loadOrderingSatisfied(const RsEntry &e) const
+namespace
 {
-    return loadOrderingSatisfiedAt(e, e.memAddr);
+
+/** Mask of the low @p n bytes of a 64-bit value (all of it from 8). */
+std::uint64_t
+lowBytes(std::uint64_t n)
+{
+    return n >= 8 ? ~std::uint64_t{0} : (std::uint64_t{1} << (8 * n)) - 1;
 }
 
+/**
+ * The ordering rule's overlap test: the store's and the load's byte
+ * ranges intersect, with the range ends wrapping modulo 2^64.
+ */
 bool
-OooCore::loadOrderingSatisfiedAt(const RsEntry &e,
-                                 std::uint64_t addr) const
+overlaps(const StoreView &s, std::uint64_t addr, int size)
+{
+    return std::max(s.addr, addr)
+           < std::min(s.addr + s.size,
+                      addr + static_cast<std::uint64_t>(size));
+}
+
+/**
+ * The bytes of the @p size-byte load at @p addr that store @p s
+ * covers, as a mask over the load's little-endian value, with the
+ * store's data shifted onto those bytes in @p placed. Byte addresses
+ * compare one by one modulo 2^64: a store whose range wraps past the
+ * top of the address space covers nothing, and a wrapping load still
+ * finds the bytes it wraps onto. Nonzero exactly when overlaps() holds
+ * unless one of the two ranges wraps.
+ */
+std::uint64_t
+coverMask(const StoreView &s, std::uint64_t addr, int size,
+          std::uint64_t &placed)
+{
+    if (s.addr + s.size < s.addr)
+        return 0;
+    const auto n = static_cast<std::uint64_t>(size);
+    // The store starts `ahead` bytes into the load ...
+    const std::uint64_t ahead = s.addr - addr;
+    if (ahead < n) {
+        placed = s.data << (8 * ahead);
+        return lowBytes(ahead + s.size) & lowBytes(n) & ~lowBytes(ahead);
+    }
+    // ... or `behind` bytes before it.
+    const std::uint64_t behind = addr - s.addr;
+    if (behind < s.size) {
+        placed = s.data >> (8 * behind);
+        return lowBytes(s.size - behind) & lowBytes(n);
+    }
+    return 0;
+}
+
+} // namespace
+
+const std::vector<StoreView> &
+OooCore::storeTable()
+{
+    if (storesCycle == cycle)
+        return stores;
+    storesCycle = cycle;
+    stores.clear();
+    const bool spec = specMemResolution();
+    for (int slot : lsq) {
+        const RsEntry &s = entry(slot);
+        if (!s.inst.isStore())
+            continue;
+        // Under valid-ops memory resolution the data must be *valid*;
+        // with speculative resolution (memNeedsValidOps=false) a
+        // predicted or speculative value forwards as-is and the load
+        // carries the store's dependence bits in memDeps instead.
+        const Operand &data = s.src[0];
+        stores.push_back(
+            {s.seq, s.memAddr, data.value, slot,
+             static_cast<std::uint8_t>(s.inst.memSize()),
+             s.addrReady,
+             data.readyAt <= cycle
+                 && (spec ? data.hasValue()
+                          : data.state == OperandState::Valid)});
+    }
+    return stores;
+}
+
+OooCore::LoadCheck
+OooCore::disambiguate(const RsEntry &e, std::uint64_t addr,
+                      SpecMask *mem_deps)
 {
     // Loads execute only once every preceding store address is known
     // (§2.1); bytes covered by an older store additionally need the
-    // store's data to be present. Under valid-ops memory resolution
-    // the covering store's data must also be *valid*; with speculative
-    // resolution (memNeedsValidOps=false) a predicted or speculative
-    // value forwards as-is and the load carries the store's dependence
-    // bits in memDeps instead. The address is passed explicitly so the
-    // CPI classifier can evaluate the check without refreshing
-    // e.memAddr (the selection loop passes e.memAddr).
-    for (int slot : lsq) {
-        const RsEntry &s = window[static_cast<std::size_t>(slot)];
-        if (s.seq >= e.seq)
-            break;
-        if (!s.inst.isStore())
-            continue;
-        if (!s.addrReady || s.addrReadyAt > cycle)
-            return false;
-
-        const std::uint64_t lo = std::max(s.memAddr, addr);
-        const std::uint64_t hi =
-            std::min(s.memAddr + static_cast<std::uint64_t>(
-                                     s.inst.memSize()),
-                     addr + static_cast<std::uint64_t>(
-                                e.inst.memSize()));
-        if (lo < hi) {
-            const Operand &data = s.src[0];
-            if (data.readyAt > cycle)
-                return false;
-            if (specMemResolution() ? !data.hasValue()
-                                    : data.state != OperandState::Valid) {
-                return false;
-            }
-        }
-    }
-    return true;
-}
-
-SpecMask
-OooCore::memCarriedDeps(const RsEntry &e) const
-{
-    // The predictions this load's result depends on *through the LSQ*
-    // (speculative memory resolution only). Two channels:
+    // store's data to be usable. Selection asks whether the load may
+    // issue and, once the data-cache ports are used up, whether it
+    // would forward; the issuing load takes its forwarded bytes.
+    //
+    // Under speculative memory resolution the issuing load also
+    // collects in @p mem_deps the predictions its result depends on
+    // *through the LSQ*. Two channels:
     //
     //  - disambiguation: the ordering check consulted every older
     //    store's address, and those addresses may have been computed
@@ -92,56 +139,28 @@ OooCore::memCarriedDeps(const RsEntry &e) const
     // Register-carried dependences (the load's own address base) are
     // covered by the ordinary operand masks and are not duplicated
     // here.
-    SpecMask deps;
-    for (int slot : lsq) {
-        const RsEntry &s = window[static_cast<std::size_t>(slot)];
+    const int size = e.inst.memSize();
+    LoadCheck r;
+    for (const StoreView &s : storeTable()) {
         if (s.seq >= e.seq)
             break;
-        if (!s.inst.isStore() || !s.addrReady)
-            continue;
-        if (s.src[1].used())
-            deps |= s.src[1].deps;
-        const std::uint64_t lo = std::max(s.memAddr, e.memAddr);
-        const std::uint64_t hi =
-            std::min(s.memAddr + static_cast<std::uint64_t>(
-                                     s.inst.memSize()),
-                     e.memAddr + static_cast<std::uint64_t>(
-                                     e.inst.memSize()));
-        if (lo < hi && s.src[0].used())
-            deps |= s.src[0].deps;
-    }
-    return deps;
-}
-
-bool
-OooCore::loadValue(const RsEntry &e, std::uint64_t &value,
-                   bool &forwarded) const
-{
-    const int size = e.inst.memSize();
-    forwarded = false;
-    std::uint64_t raw = 0;
-    for (int i = 0; i < size; ++i) {
-        const std::uint64_t addr = e.memAddr + static_cast<unsigned>(i);
-        std::uint8_t byte = memory.readByte(addr);
-        // Youngest older store covering this byte wins.
-        for (int slot : lsq) {
-            const RsEntry &s = window[static_cast<std::size_t>(slot)];
-            if (s.seq >= e.seq)
-                break;
-            if (!s.inst.isStore() || !s.addrReady)
-                continue;
-            if (addr >= s.memAddr
-                && addr < s.memAddr + static_cast<std::uint64_t>(
-                              s.inst.memSize())) {
-                byte = static_cast<std::uint8_t>(
-                    s.src[0].value >> (8 * (addr - s.memAddr)));
-                forwarded = true;
-            }
+        const bool overlap = overlaps(s, addr, size);
+        if (!s.addrKnown || (overlap && !s.dataUsable))
+            return {false, 0, 0};
+        // Oldest to youngest: the youngest store covering a byte wins.
+        std::uint64_t placed = 0;
+        const std::uint64_t mask = coverMask(s, addr, size, placed);
+        r.forwarded = (r.forwarded & ~mask) | (placed & mask);
+        r.covered |= mask;
+        if (mem_deps) {
+            const RsEntry &st = entry(s.slot);
+            if (st.src[1].used())
+                *mem_deps |= st.src[1].deps;
+            if (overlap && st.src[0].used())
+                *mem_deps |= st.src[0].deps;
         }
-        raw |= static_cast<std::uint64_t>(byte) << (8 * i);
     }
-    value = arch::loadExtend(e.inst, raw);
-    return true;
+    return r;
 }
 
 bool
@@ -300,17 +319,22 @@ OooCore::issueEntry(RsEntry &e)
       case isa::ExecClass::Load: {
         e.memAddr = out.memAddr;
         e.memDeps.reset();
-        if (specMemResolution()) {
-            e.memDeps = memCarriedDeps(e);
+        const bool spec_mem = specMemResolution();
+        const LoadCheck lc =
+            disambiguate(e, e.memAddr, spec_mem ? &e.memDeps : nullptr);
+        VSIM_DEBUG_ASSERT(lc.mayIssue,
+                          "load issued against the ordering rule");
+        const int size = e.inst.memSize();
+        std::uint64_t raw = lc.forwarded;
+        if (lc.covered != lowBytes(static_cast<std::uint64_t>(size)))
+            raw |= memory.read(e.memAddr, size) & ~lc.covered;
+        c.value = arch::loadExtend(e.inst, raw);
+        if (spec_mem) {
             // Memory-carried mask-gaining site: the invalidation sweep
             // must find this load through the subscriber lists.
             subsIndex.note(e.slot, e.memDeps);
         }
-        bool forwarded = false;
-        std::uint64_t value = 0;
-        loadValue(e, value, forwarded);
-        c.value = value;
-        if (forwarded) {
+        if (lc.forwards()) {
             lat = cfg.aluLat + cfg.storeForwardLat;
             ++stats_.loadsForwarded;
         } else {
@@ -403,21 +427,15 @@ OooCore::issueStage()
         if (e.inst.isLoad()) {
             // Effective address needed for the ordering check; compute
             // it from the base operand (cheap, pure).
-            const Operand &base = e.src[0];
-            e.memAddr =
-                base.value
-                + static_cast<std::uint64_t>(
-                      static_cast<std::int64_t>(e.inst.imm));
-            if (!loadOrderingSatisfied(e))
+            const LoadCheck lc = disambiguate(
+                e, e.src[0].value
+                       + static_cast<std::uint64_t>(
+                           static_cast<std::int64_t>(e.inst.imm)));
+            if (!lc.mayIssue)
                 continue;
             // Loads that cannot forward need a data-cache port.
-            bool would_forward = false;
-            std::uint64_t dummy;
-            loadValue(e, dummy, would_forward);
-            if (!would_forward
-                && dcachePortsUsed >= cfg.effDcachePorts()) {
+            if (!lc.forwards() && dcachePortsUsed >= cfg.effDcachePorts())
                 continue;
-            }
         }
         issueEntry(e);
         ++issued;

@@ -122,9 +122,8 @@ struct RsEntry
     bool predConfident = false;
 
     // memory
-    bool addrReady = false;
+    bool addrReady = false; //!< store address computed (at completion)
     std::uint64_t memAddr = 0;
-    std::uint64_t addrReadyAt = 0;
     /**
      * Memory-carried dependences (§3.2, memNeedsValidOps=false): the
      * predictions a load's *result* depends on through the LSQ rather

@@ -19,6 +19,8 @@
 #ifndef VSIM_ISA_ISA_HH
 #define VSIM_ISA_ISA_HH
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -88,8 +90,82 @@ struct OpInfo
     bool readsRa;    //!< reads ra as a source (stores, branches, sys)
 };
 
-/** Look up the static properties of @p op. */
-const OpInfo &opInfo(Op op);
+namespace detail
+{
+
+using enum Format;
+using enum ExecClass;
+
+// name, fmt, cls, writesReg, readsRb, readsRc, readsRa
+inline constexpr std::array<OpInfo, kNumOps> kOpTable = {{
+    {"add",   F_RRR,  IntAlu, true,  true,  true,  false},
+    {"sub",   F_RRR,  IntAlu, true,  true,  true,  false},
+    {"and",   F_RRR,  IntAlu, true,  true,  true,  false},
+    {"or",    F_RRR,  IntAlu, true,  true,  true,  false},
+    {"xor",   F_RRR,  IntAlu, true,  true,  true,  false},
+    {"sll",   F_RRR,  IntAlu, true,  true,  true,  false},
+    {"srl",   F_RRR,  IntAlu, true,  true,  true,  false},
+    {"sra",   F_RRR,  IntAlu, true,  true,  true,  false},
+    {"slt",   F_RRR,  IntAlu, true,  true,  true,  false},
+    {"sltu",  F_RRR,  IntAlu, true,  true,  true,  false},
+    {"mul",   F_RRR,  IntMul, true,  true,  true,  false},
+    {"mulh",  F_RRR,  IntMul, true,  true,  true,  false},
+    {"div",   F_RRR,  IntDiv, true,  true,  true,  false},
+    {"divu",  F_RRR,  IntDiv, true,  true,  true,  false},
+    {"rem",   F_RRR,  IntDiv, true,  true,  true,  false},
+    {"remu",  F_RRR,  IntDiv, true,  true,  true,  false},
+    {"addi",  F_RRI,  IntAlu, true,  true,  false, false},
+    {"andi",  F_RRI,  IntAlu, true,  true,  false, false},
+    {"ori",   F_RRI,  IntAlu, true,  true,  false, false},
+    {"xori",  F_RRI,  IntAlu, true,  true,  false, false},
+    {"slli",  F_RRI,  IntAlu, true,  true,  false, false},
+    {"srli",  F_RRI,  IntAlu, true,  true,  false, false},
+    {"srai",  F_RRI,  IntAlu, true,  true,  false, false},
+    {"slti",  F_RRI,  IntAlu, true,  true,  false, false},
+    {"sltiu", F_RRI,  IntAlu, true,  true,  false, false},
+    {"lui",   F_RI20, IntAlu, true,  false, false, false},
+    {"auipc", F_RI20, IntAlu, true,  false, false, false},
+    {"beq",   F_RRI,  Branch, false, true,  false, true},
+    {"bne",   F_RRI,  Branch, false, true,  false, true},
+    {"blt",   F_RRI,  Branch, false, true,  false, true},
+    {"bge",   F_RRI,  Branch, false, true,  false, true},
+    {"bltu",  F_RRI,  Branch, false, true,  false, true},
+    {"bgeu",  F_RRI,  Branch, false, true,  false, true},
+    {"jal",   F_RI20, Branch, true,  false, false, false},
+    {"jalr",  F_RRI,  Branch, true,  true,  false, false},
+    {"lb",    F_RRI,  Load,   true,  true,  false, false},
+    {"lbu",   F_RRI,  Load,   true,  true,  false, false},
+    {"lh",    F_RRI,  Load,   true,  true,  false, false},
+    {"lhu",   F_RRI,  Load,   true,  true,  false, false},
+    {"lw",    F_RRI,  Load,   true,  true,  false, false},
+    {"lwu",   F_RRI,  Load,   true,  true,  false, false},
+    {"ld",    F_RRI,  Load,   true,  true,  false, false},
+    {"sb",    F_RRI,  Store,  false, true,  false, true},
+    {"sh",    F_RRI,  Store,  false, true,  false, true},
+    {"sw",    F_RRI,  Store,  false, true,  false, true},
+    {"sd",    F_RRI,  Store,  false, true,  false, true},
+    {"halt",  F_RRI,  System, false, false, false, true},
+    {"putc",  F_RRI,  System, false, false, false, true},
+    {"puti",  F_RRI,  System, false, false, false, true},
+}};
+
+/** Panics on an opcode outside the table (kept out of line: cold). */
+[[noreturn]] void badOpcode(std::size_t idx);
+
+} // namespace detail
+
+/**
+ * Look up the static properties of @p op. Inline: every LSQ and
+ * wakeup check asks an instruction for its class or size.
+ */
+inline const OpInfo &
+opInfo(Op op)
+{
+    const auto idx = static_cast<std::size_t>(op);
+    if (idx >= detail::kOpTable.size()) [[unlikely]]
+        detail::badOpcode(idx);
+    return detail::kOpTable[idx];
+}
 
 /** Decoded instruction. */
 struct Inst
@@ -151,7 +227,17 @@ struct Inst
     }
 
     /** Access size in bytes for memory ops; 0 otherwise. */
-    int memSize() const;
+    int
+    memSize() const
+    {
+        switch (op) {
+          case Op::LB: case Op::LBU: case Op::SB: return 1;
+          case Op::LH: case Op::LHU: case Op::SH: return 2;
+          case Op::LW: case Op::LWU: case Op::SW: return 4;
+          case Op::LD: case Op::SD: return 8;
+          default: return 0;
+        }
+    }
 
     bool operator==(const Inst &other) const = default;
 };

@@ -1,5 +1,9 @@
 #include "simulator.hh"
 
+#include <map>
+#include <mutex>
+#include <utility>
+
 #include "shard.hh"
 #include "vsim/base/logging.hh"
 #include "vsim/core/ooo_core.hh"
@@ -69,6 +73,33 @@ traceWorkloadPath(const std::string &name)
     return name.substr(sizeof(kTraceWorkloadPrefix) - 1);
 }
 
+std::shared_ptr<const BuiltKernel>
+sharedKernel(const std::string &name, int scale)
+{
+    struct Entry
+    {
+        std::mutex mutex; //!< guards kernel, held across its build
+        std::weak_ptr<const BuiltKernel> kernel;
+    };
+    static std::mutex memoMutex;
+    static std::map<std::pair<std::string, int>, Entry> memo;
+
+    const workloads::Workload &w = workloads::byName(name);
+    std::unique_lock<std::mutex> memo_lock(memoMutex);
+    Entry &entry = memo[{name, scale}]; // map nodes never move
+    memo_lock.unlock();
+    // Per-key lock: a second request waits for the first build of its
+    // own kernel, never for another kernel's.
+    std::lock_guard<std::mutex> lock(entry.mutex);
+    if (std::shared_ptr<const BuiltKernel> k = entry.kernel.lock())
+        return k;
+    auto k = std::make_shared<BuiltKernel>();
+    k->program = workloads::buildProgram(w, scale);
+    k->trace = arch::preExecute(k->program);
+    entry.kernel = k;
+    return k;
+}
+
 namespace
 {
 
@@ -83,9 +114,11 @@ simulate(const std::string &name, int scale,
                            cfg);
         return core.run();
     }
-    const workloads::Workload &w = workloads::byName(name);
-    const assembler::Program prog = workloads::buildProgram(w, scale);
-    core::OooCore core(prog, cfg);
+    const std::shared_ptr<const BuiltKernel> k = sharedKernel(name, scale);
+    // The core's trace handle shares ownership of the whole kernel.
+    core::OooCore core(
+        k->program, std::shared_ptr<const arch::ExecTrace>(k, &k->trace),
+        cfg);
     return core.run();
 }
 

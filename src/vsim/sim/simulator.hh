@@ -10,9 +10,12 @@
 #define VSIM_SIM_SIMULATOR_HH
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "vsim/arch/functional_core.hh"
+#include "vsim/assembler/program.hh"
 #include "vsim/core/core_config.hh"
 #include "vsim/core/core_stats.hh"
 #include "vsim/core/spec_model.hh"
@@ -87,6 +90,24 @@ std::string traceWorkloadName(const std::string &path);
 
 /** The .vst path behind a trace workload name. */
 std::string traceWorkloadPath(const std::string &name);
+
+/** A built-in kernel, assembled and pre-executed. */
+struct BuiltKernel
+{
+    assembler::Program program;
+    arch::ExecTrace trace; //!< the oracle trace of `program`
+};
+
+/**
+ * Kernel @p name at @p scale, shared among the runs alive at once:
+ * while any holder keeps the result, a request for the same
+ * (name, scale) returns the same object instead of assembling and
+ * pre-executing again. The memo holds only weak references, so a
+ * kernel is freed with its last holder and the next request builds it
+ * afresh. Thread-safe; concurrent first requests build once.
+ */
+std::shared_ptr<const BuiltKernel> sharedKernel(const std::string &name,
+                                                int scale);
 
 /**
  * Build workload @p name at @p scale (-1 = default) and run it under

@@ -12,6 +12,7 @@
 #include <atomic>
 #include <cctype>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -322,6 +323,93 @@ TEST(SweepRunner, ErrorsPropagateFromWorkers)
     sim::RunCache cache;
     sim::SweepRunner runner(4, &cache);
     EXPECT_THROW(runner.run(jobs), FatalError);
+}
+
+// ---- shared kernels ---------------------------------------------------
+
+TEST(SharedKernel, LiveHolderSharesOneTrace)
+{
+    const auto a = sim::sharedKernel("queens", 1);
+    const auto b = sim::sharedKernel("queens", 1);
+    EXPECT_EQ(a.get(), b.get());
+    EXPECT_EQ(&a->trace, &b->trace);
+    EXPECT_FALSE(a->trace.entries.empty());
+    // The scale is part of the key.
+    const auto c = sim::sharedKernel("queens", 2);
+    EXPECT_NE(&a->trace, &c->trace);
+    EXPECT_GT(c->trace.entries.size(), a->trace.entries.size());
+}
+
+TEST(SharedKernel, ConcurrentFirstRequestsBuildOnce)
+{
+    // Every worker keeps what it got, so one build must serve all.
+    std::vector<std::shared_ptr<const sim::BuiltKernel>> got(8);
+    {
+        ThreadPool pool(8);
+        for (std::size_t i = 0; i < got.size(); ++i)
+            pool.submit([&got, i] { got[i] = sim::sharedKernel("m88k", 1); });
+        pool.wait();
+    }
+    for (const auto &k : got)
+        EXPECT_EQ(k.get(), got[0].get());
+}
+
+TEST(SharedKernel, ExpiresWithLastHolderThenBuildsAfresh)
+{
+    auto a = sim::sharedKernel("compress", 1);
+    auto b = sim::sharedKernel("compress", 1);
+    const std::weak_ptr<const sim::BuiltKernel> first = a;
+    const std::size_t length = a->trace.entries.size();
+    a.reset();
+    EXPECT_FALSE(first.expired()); // b still holds it
+    b.reset();
+    EXPECT_TRUE(first.expired());
+
+    // The memo held no strong reference: this is a new build, and the
+    // old object stays dead.
+    const auto c = sim::sharedKernel("compress", 1);
+    EXPECT_TRUE(first.expired());
+    EXPECT_EQ(c->trace.entries.size(), length);
+}
+
+TEST(SharedKernel, GridIdenticalAcrossWorkerCounts)
+{
+    // 16 cells over two kernels: under 8 workers the cells of a kernel
+    // overlap and share its trace; serially each builds its own.
+    std::vector<sim::SweepJob> jobs;
+    const sim::MachineConfig m{8, 48};
+    for (const std::string w : {"compress", "vortex"}) {
+        for (const char *model : {"good", "great", "super"}) {
+            for (bool spec_mem : {false, true}) {
+                sim::SweepJob job;
+                job.label = std::string(model) + " " + w;
+                job.workload = w;
+                job.scale = 1;
+                job.cfg = sim::vpConfig(m, SpecModel::byName(model),
+                                        ConfidenceKind::Real,
+                                        UpdateTiming::Delayed);
+                job.cfg.model.memNeedsValidOps = !spec_mem;
+                jobs.push_back(job);
+            }
+        }
+        for (int window : {48, 96}) {
+            sim::SweepJob job;
+            job.label = "base " + w;
+            job.workload = w;
+            job.scale = 1;
+            job.cfg = sim::baseConfig({8, window});
+            jobs.push_back(job);
+        }
+    }
+    ASSERT_EQ(jobs.size(), 16u);
+
+    sim::RunCache serial_cache, parallel_cache;
+    sim::SweepRunner serial(1, &serial_cache);
+    sim::SweepRunner parallel(8, &parallel_cache);
+    const auto a = serial.run(jobs);
+    const auto b = parallel.run(jobs);
+    EXPECT_EQ(sim::toJson(jobs, a), sim::toJson(jobs, b));
+    EXPECT_EQ(sim::toCsv(jobs, a), sim::toCsv(jobs, b));
 }
 
 // ---- run cache --------------------------------------------------------
