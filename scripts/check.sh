@@ -41,10 +41,10 @@ cmake --build build-tsan -j --target test_sweep test_obs test_cpi \
 # drives it end to end.
 ./build-tsan/tests/test_shard \
     --gtest_filter='ShardMerge.ParallelWorkersMatchInline'
-# The sweep daemon's accept loop, per-connection threads, batch
-# condvars and disk-backed RunCache are this PR's concurrency
-# surface. The fork-based two-process test stays out: forking a
-# threaded TSan process is undefined.
+# The disk-backed RunCache: DiskRunCache store, load and eviction,
+# the path a sweep's pool workers take on a miss. The fork-based
+# two-process test stays out: forking a threaded TSan process is
+# undefined.
 cmake --build build-tsan -j --target test_disk_cache
 ./build-tsan/tests/test_disk_cache --gtest_filter='-DiskCacheProcess.*'
 # Sampled replay details representatives on the shared ThreadPool and
@@ -56,11 +56,14 @@ cmake --build build-tsan -j --target test_sample
 'SampledRun.*-SampledRun.SpeedupErrorWithinBoundOnEveryKernel'
 
 echo "== tier-1: Address+UB Sanitizer (core, policy, scheduler) =="
+# UBSan only prints by default; halting turns every report into a
+# failed test.
+export UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1
 cmake -B build-asan -S . -DVSIM_SANITIZE=address,undefined >/dev/null
 cmake --build build-asan -j --target \
     test_core_base test_core_vspec test_core_misc test_core_xprod \
     test_policy test_event_queue test_scheduler test_sweepdiff test_cpi \
-    test_fuzz
+    test_fuzz test_vpred
 ./build-asan/tests/test_core_base
 ./build-asan/tests/test_core_vspec
 ./build-asan/tests/test_core_misc
@@ -71,6 +74,9 @@ cmake --build build-asan -j --target \
 ./build-asan/tests/test_event_queue
 ./build-asan/tests/test_scheduler
 ./build-asan/tests/test_sweepdiff
+# Predictor tables do wrapping arithmetic on 64-bit values (stride
+# deltas across the sign boundary).
+./build-asan/tests/test_vpred
 # The full cross product is covered (without sanitizers) by ctest;
 # under ASan run the regression slice plus the speculative
 # memory-resolution slice (memDeps bookkeeping is exactly the kind of
@@ -100,10 +106,10 @@ cmake --build build-asan -j --target test_trace
 cmake --build build-asan -j --target test_shard
 ./build-asan/tests/test_shard --gtest_filter=\
 'Snapshot.*:PlanShards.*:ShardMerge.FullWarmupIdenticalAcrossShardCounts:ShardMerge.ParallelWorkersMatchInline'
-# The disk-cache codec and the daemon wire protocol move raw bytes
-# through hand-rolled buffers, hex decoding and checksum scans —
-# ASan/UBSan territory end to end (including the corrupt/truncated
-# eviction paths and the fork-based two-process store test).
+# The disk-cache codec moves raw bytes through hand-rolled buffers
+# and checksum scans — ASan/UBSan territory end to end (including the
+# corrupt/truncated eviction paths and the fork-based two-process
+# store test).
 cmake --build build-asan -j --target test_disk_cache
 ./build-asan/tests/test_disk_cache
 # BBV accumulation, the k-means clusterer and the weighted merges all
@@ -189,83 +195,51 @@ python3 -m json.tool "$obs_dir/sweep_ledger.json" >/dev/null
     "$obs_dir/run_stacks.json" >/dev/null
 echo "CPI stack / ledger JSON OK"
 
-echo "== tier-1: persistent run cache (warm run identical, all hits) =="
-# A sweep re-run over a populated --cache-dir must be byte-identical
-# in every deterministic output and simulate nothing; and the
-# flags-off output must be untouched by the feature existing.
-# The "wrote <path>" announcements name the caller-chosen output
-# files, which legitimately differ between the runs — compare the
-# table content, not those lines.
+echo "== tier-1: persistent run cache (concurrent cold runs, warm all hits) =="
+# Two processes fill one --cache-dir at the same time: base and fig3
+# share base's 3 cells, so both may simulate one and store it, and the
+# atomic tmp+rename writes must leave every entry valid. Each cold
+# table must still match its golden. A re-run over the populated
+# directory must be byte-identical in every deterministic output and
+# simulate nothing; and the flags-off output must be untouched by the
+# feature existing. The "wrote <path>" announcements name the
+# caller-chosen output files, which legitimately differ between the
+# runs — compare the table content, not those lines.
 sweep_table() { grep -v -e '^wrote ' -e '^$' "$1"; }
 cache_dir="$obs_dir/runcache"
-./build/tools/vspec_sweep base --quick --scale 1 --jobs 4 \
-    --cache-dir "$cache_dir" --csv "$obs_dir/cache_cold.csv" \
-    > "$obs_dir/cache_cold.txt"
-./build/tools/vspec_sweep base --quick --scale 1 --jobs 4 \
-    --cache-dir "$cache_dir" --csv "$obs_dir/cache_warm.csv" \
-    --json "$obs_dir/cache_warm.json" > "$obs_dir/cache_warm.txt"
-diff <(sweep_table "$obs_dir/cache_cold.txt") \
-     <(sweep_table "$obs_dir/cache_warm.txt")
-diff "$obs_dir/cache_cold.csv" "$obs_dir/cache_warm.csv"
+cold_pids=()
+for sweep in base fig3; do
+    ./build/tools/vspec_sweep "$sweep" --quick --scale 1 --jobs 4 \
+        --cache-dir "$cache_dir" --csv "$obs_dir/${sweep}_cold.csv" \
+        > "$obs_dir/${sweep}_cold.txt" &
+    cold_pids+=($!)
+done
+for pid in "${cold_pids[@]}"; do wait "$pid"; done
+for sweep in base fig3; do
+    diff <(sweep_table "tests/golden/sweep_${sweep}.txt") \
+         <(sweep_table "$obs_dir/${sweep}_cold.txt")
+    ./build/tools/vspec_sweep "$sweep" --quick --scale 1 --jobs 4 \
+        --cache-dir "$cache_dir" --csv "$obs_dir/${sweep}_warm.csv" \
+        --json "$obs_dir/${sweep}_warm.json" \
+        > "$obs_dir/${sweep}_warm.txt"
+    diff <(sweep_table "$obs_dir/${sweep}_cold.txt") \
+         <(sweep_table "$obs_dir/${sweep}_warm.txt")
+    diff "$obs_dir/${sweep}_cold.csv" "$obs_dir/${sweep}_warm.csv"
+done
 ./build/tools/vspec_sweep base --quick --scale 1 --jobs 4 \
     > "$obs_dir/cache_off.txt"
 diff <(sweep_table "$obs_dir/cache_off.txt") \
-     <(sweep_table "$obs_dir/cache_cold.txt")
-python3 - "$obs_dir/cache_warm.json" <<'EOF'
+     <(sweep_table "$obs_dir/base_cold.txt")
+python3 - "$obs_dir/base_warm.json" "$obs_dir/fig3_warm.json" <<'EOF'
 import json, sys
-with open(sys.argv[1]) as f:
-    cells = json.load(f)
-hits = sum(c["cache_hit"] for c in cells)
-print(f"warm sweep: {hits}/{len(cells)} cells served from the cache")
-sys.exit(0 if cells and hits == len(cells) else 1)
-EOF
-
-echo "== tier-1: sweep daemon (concurrent clients, restart, all hits) =="
-sock="$obs_dir/sweepd.sock"
-daemon_cache="$obs_dir/daemon-cache"
-./build/tools/vspec_sweepd --socket "$sock" \
-    --cache-dir "$daemon_cache" --workers 4 \
-    2> "$obs_dir/sweepd1.log" &
-daemon_pid=$!
-for _ in $(seq 100); do [ -S "$sock" ] && break; sleep 0.05; done
-# Two concurrent clients with overlapping grids; the daemon dedupes
-# shared cells through its one RunCache.
-./build/tools/vspec_sweep base --quick --scale 1 --jobs 4 \
-    --server "$sock" > "$obs_dir/daemon_a.txt" &
-client_a=$!
-./build/tools/vspec_sweep fig4 --quick --scale 1 --jobs 4 \
-    --server "$sock" > "$obs_dir/daemon_b.txt" &
-client_b=$!
-wait "$client_a" "$client_b"
-kill "$daemon_pid"
-wait "$daemon_pid" || true
-# Restart over the same disk cache: the re-swept batch must arrive
-# without a single simulation and byte-identical.
-./build/tools/vspec_sweepd --socket "$sock" \
-    --cache-dir "$daemon_cache" --workers 4 \
-    2> "$obs_dir/sweepd2.log" &
-daemon_pid=$!
-for _ in $(seq 100); do [ -S "$sock" ] && break; sleep 0.05; done
-./build/tools/vspec_sweep base --quick --scale 1 --jobs 4 \
-    --server "$sock" --json "$obs_dir/daemon_a2.json" \
-    > "$obs_dir/daemon_a2.txt"
-kill "$daemon_pid"
-wait "$daemon_pid" || true
-diff <(sweep_table "$obs_dir/daemon_a.txt") \
-     <(sweep_table "$obs_dir/daemon_a2.txt")
-# And a daemon-served sweep must match the direct (in-process) run
-# byte for byte, given the same --jobs header.
-./build/tools/vspec_sweep base --quick --scale 1 --jobs 4 \
-    > "$obs_dir/daemon_direct.txt"
-diff <(sweep_table "$obs_dir/daemon_direct.txt") \
-     <(sweep_table "$obs_dir/daemon_a.txt")
-python3 - "$obs_dir/daemon_a2.json" <<'EOF'
-import json, sys
-with open(sys.argv[1]) as f:
-    cells = json.load(f)
-hits = sum(c["cache_hit"] for c in cells)
-print(f"restarted daemon: {hits}/{len(cells)} cells from the disk cache")
-sys.exit(0 if cells and hits == len(cells) else 1)
+ok = True
+for path in sys.argv[1:]:
+    with open(path) as f:
+        cells = json.load(f)
+    hits = sum(c["cache_hit"] for c in cells)
+    print(f"warm sweep: {hits}/{len(cells)} cells served from the cache")
+    ok = ok and bool(cells) and hits == len(cells)
+sys.exit(0 if ok else 1)
 EOF
 
 echo "== tier-1: trace record/replay identity =="

@@ -16,9 +16,8 @@
  *
  * Reader failures (underrun, tag mismatch) throw vsim::FatalError so
  * that consumers of *untrusted* bytes — a truncated or corrupted
- * on-disk cache entry, a malformed daemon request — can catch the
- * error and recover (evict the entry, reject the request) instead of
- * aborting the process.
+ * on-disk cache entry — can catch the error and recover (evict the
+ * entry) instead of aborting the process.
  */
 
 #ifndef VSIM_BASE_STATE_IO_HH

@@ -51,8 +51,7 @@ constexpr std::uint64_t kDiskFormatVersion = 1;
 /**
  * Serialize @p r (stats, CPI stack, histograms, intervals, ledger)
  * into @p w. The stream is self-delimiting; loadRunResult reads it
- * back bit-identically. Shared by the disk cache and the sweep
- * daemon's wire protocol.
+ * back bit-identically. The payload of every disk cache entry.
  */
 void saveRunResult(StateWriter &w, const RunResult &r);
 

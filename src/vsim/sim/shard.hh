@@ -82,10 +82,10 @@ bool samplingRequested(const core::CoreConfig &cfg);
 
 /**
  * Fail loudly on inconsistent partition/warmup settings, whichever
- * path set them (CLI, daemon, tests): cfg.shards and cfg.intervalInsts
- * are mutually exclusive, sampling excludes both, a non-default
- * cfg.warmupInsts without sharding or sampling would be silently
- * ignored, and cfg.sampleIntervalInsts is meaningless without
+ * path set them (CLI, sweep jobs, tests): cfg.shards and
+ * cfg.intervalInsts are mutually exclusive, sampling excludes both, a
+ * non-default cfg.warmupInsts without sharding or sampling would be
+ * silently ignored, and cfg.sampleIntervalInsts is meaningless without
  * cfg.sampleK. VSIM_FATAL with a one-line diagnosis on violation.
  */
 void validatePartition(const core::CoreConfig &cfg);

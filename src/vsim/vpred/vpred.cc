@@ -200,8 +200,9 @@ StridePredictor::updateTable(std::uint64_t pc, std::uint64_t token,
     const std::size_t idx = static_cast<std::size_t>(
         (pc >> 2) & ((1ull << tableBits) - 1));
     Entry &entry = table[idx];
-    const std::int64_t delta = static_cast<std::int64_t>(actual)
-                               - static_cast<std::int64_t>(entry.last);
+    // Unsigned subtraction wraps modulo 2^64; the cast keeps the bits,
+    // so values more than 2^63 apart cannot overflow.
+    const auto delta = static_cast<std::int64_t>(actual - entry.last);
     // 2-delta rule: commit a new stride only when seen twice in a row.
     if (delta == entry.lastDelta)
         entry.stride = delta;

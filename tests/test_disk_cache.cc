@@ -1,33 +1,25 @@
 /**
  * @file
- * Tests for the persistent on-disk run cache (vsim/sim/disk_cache.hh)
- * and the sweep daemon (vsim/sim/server.hh): RunResult codec
- * round-trips, cold/warm disk bit-identity, build-fingerprint
- * invalidation, corrupt/truncated-entry eviction, two-process access
- * to one store, the length-prefixed-JSON wire protocol (including
- * malformed-request rejection and a client vanishing mid-stream), and
- * daemon restart over a warm cache.
+ * Tests for the persistent on-disk run cache (vsim/sim/disk_cache.hh):
+ * RunResult codec round-trips, cold/warm disk bit-identity,
+ * build-fingerprint invalidation, corrupt/truncated-entry eviction,
+ * and two processes sharing one store.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <string>
-#include <thread>
 #include <vector>
 
-#include <sys/socket.h>
-#include <sys/un.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include "vsim/base/logging.hh"
 #include "vsim/base/state_io.hh"
 #include "vsim/sim/disk_cache.hh"
-#include "vsim/sim/server.hh"
 #include "vsim/sim/simulator.hh"
 #include "vsim/sim/sweep.hh"
 
@@ -41,7 +33,7 @@ using core::UpdateTiming;
 
 namespace fs = std::filesystem;
 
-/** Self-deleting scratch directory (cache dirs, socket paths). */
+/** Self-deleting scratch directory for a cache store. */
 struct TempDir
 {
     std::string path;
@@ -90,7 +82,7 @@ bytesOf(const sim::RunResult &r)
     return w.data();
 }
 
-// ---- RunResult / SweepJob codecs --------------------------------------
+// ---- RunResult codec ---------------------------------------------------
 
 TEST(RunResultCodec, RoundTripIsBitIdentical)
 {
@@ -123,57 +115,6 @@ TEST(RunResultCodec, TruncatedStreamThrowsNotCrashes)
         StateReader r(encoded.data(), len);
         EXPECT_THROW(sim::loadRunResult(r), FatalError) << len;
     }
-}
-
-TEST(SweepJobCodec, RoundTripPreservesEveryField)
-{
-    sim::SweepJob a = richJob("m88k");
-    a.label = "a label with spaces";
-    a.cfg.icache.sizeBytes = 32 * 1024;
-    a.cfg.l2MissLat = 77;
-    a.cfg.shards = 4;
-    a.cfg.warmupInsts = 10'000;
-    a.cfg.traceRetain = 123;
-
-    StateWriter w;
-    sim::saveSweepJob(w, a);
-    StateReader r(w.data().data(), w.data().size());
-    const sim::SweepJob b = sim::loadSweepJob(r);
-    EXPECT_TRUE(r.done());
-
-    EXPECT_EQ(a.label, b.label);
-    EXPECT_EQ(sim::jobKey(a), sim::jobKey(b));
-    // Cosmetic fields must survive too: the daemon reproduces the
-    // exact configuration, not just the cache identity.
-    EXPECT_EQ(a.cfg.model.name, b.cfg.model.name);
-    EXPECT_EQ(a.cfg.icache.name, b.cfg.icache.name);
-    EXPECT_EQ(a.cfg.traceRetain, b.cfg.traceRetain);
-    // Re-encode: bit-identical.
-    StateWriter w2;
-    sim::saveSweepJob(w2, b);
-    EXPECT_EQ(w.data(), w2.data());
-}
-
-TEST(SweepJobCodec, OutOfRangeEnumIsRejected)
-{
-    sim::SweepJob bad = baseJob();
-    bad.cfg.model.verifyScheme = static_cast<core::VerifyScheme>(9);
-    StateWriter w;
-    sim::saveSweepJob(w, bad);
-    StateReader r(w.data().data(), w.data().size());
-    EXPECT_THROW(sim::loadSweepJob(r), FatalError);
-}
-
-TEST(Hex, RoundTripAndRejection)
-{
-    const std::vector<std::uint8_t> bytes{0x00, 0x7f, 0xab, 0xff};
-    const std::string hex = sim::hexEncode(bytes);
-    EXPECT_EQ(hex, "007fabff");
-    EXPECT_EQ(sim::hexDecode(hex), bytes);
-    EXPECT_EQ(sim::hexDecode("ABcd"), (std::vector<std::uint8_t>{
-                                          0xab, 0xcd}));
-    EXPECT_THROW(sim::hexDecode("abc"), FatalError);  // odd length
-    EXPECT_THROW(sim::hexDecode("zz"), FatalError);   // non-hex
 }
 
 // ---- disk store -------------------------------------------------------
@@ -338,256 +279,6 @@ TEST(DiskCacheProcess, TwoProcessesShareOneStore)
     ASSERT_TRUE(disk.load(key, from_disk));
     sim::RunCache cache;
     EXPECT_EQ(bytesOf(cache.getOrRun(job)), bytesOf(from_disk));
-}
-
-// ---- daemon wire protocol ---------------------------------------------
-
-/** Raw-socket client for protocol-abuse tests. */
-int
-rawConnect(const std::string &path)
-{
-    sockaddr_un addr{};
-    addr.sun_family = AF_UNIX;
-    VSIM_ASSERT(path.size() < sizeof(addr.sun_path), "path too long");
-    std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
-    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    VSIM_ASSERT(fd >= 0, "socket failed");
-    VSIM_ASSERT(::connect(fd, reinterpret_cast<sockaddr *>(&addr),
-                          sizeof(addr))
-                    == 0,
-                "connect failed");
-    return fd;
-}
-
-void
-rawSendFrame(int fd, const std::string &json)
-{
-    const std::uint32_t len = static_cast<std::uint32_t>(json.size());
-    std::uint8_t hdr[4];
-    for (int i = 0; i < 4; ++i)
-        hdr[i] = static_cast<std::uint8_t>(len >> (8 * i));
-    ASSERT_EQ(::send(fd, hdr, 4, 0), 4);
-    ASSERT_EQ(::send(fd, json.data(), json.size(), 0),
-              static_cast<ssize_t>(json.size()));
-}
-
-std::string
-rawRecvFrame(int fd)
-{
-    std::uint8_t hdr[4];
-    std::size_t got = 0;
-    while (got < 4) {
-        const ssize_t n = ::recv(fd, hdr + got, 4 - got, 0);
-        if (n <= 0)
-            return "";
-        got += static_cast<std::size_t>(n);
-    }
-    std::uint32_t len = 0;
-    for (int i = 0; i < 4; ++i)
-        len |= static_cast<std::uint32_t>(hdr[i]) << (8 * i);
-    std::string json(len, '\0');
-    got = 0;
-    while (got < len) {
-        const ssize_t n = ::recv(fd, json.data() + got, len - got, 0);
-        if (n <= 0)
-            return "";
-        got += static_cast<std::size_t>(n);
-    }
-    return json;
-}
-
-std::string
-encodeJob(const sim::SweepJob &job)
-{
-    StateWriter w;
-    sim::saveSweepJob(w, job);
-    return sim::hexEncode(w.data());
-}
-
-/** A SweepServer on its own thread, stopped and joined on scope exit. */
-struct ServerGuard
-{
-    sim::SweepServer server;
-    std::thread thread;
-
-    ServerGuard(const std::string &sock, int workers,
-                sim::RunCache *cache)
-        : server(sock, workers, cache),
-          thread([this] { server.serve(); })
-    {
-    }
-
-    ~ServerGuard()
-    {
-        server.stop();
-        thread.join();
-    }
-};
-
-TEST(SweepServer, BatchMatchesDirectRunBitForBit)
-{
-    TempDir dir;
-    const std::string sock = dir.path + "/d.sock";
-    const std::vector<sim::SweepJob> jobs{baseJob("queens"),
-                                          richJob("queens"),
-                                          baseJob("m88k")};
-    sim::RunCache server_cache;
-    ServerGuard guard(sock, 2, &server_cache);
-
-    const auto cells = sim::runSweepOverSocket(sock, jobs);
-    ASSERT_EQ(cells.size(), jobs.size());
-    sim::RunCache direct;
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-        EXPECT_FALSE(cells[i].cached) << i;
-        EXPECT_EQ(bytesOf(direct.getOrRun(jobs[i])),
-                  bytesOf(cells[i].result))
-            << i;
-    }
-    EXPECT_EQ(guard.server.cellsServed(), jobs.size());
-
-    // Same batch again: every cell must be served from memory.
-    const auto again = sim::runSweepOverSocket(sock, jobs);
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-        EXPECT_TRUE(again[i].cached) << i;
-        EXPECT_EQ(bytesOf(cells[i].result), bytesOf(again[i].result))
-            << i;
-    }
-    EXPECT_EQ(server_cache.misses(), jobs.size());
-}
-
-TEST(SweepServer, ConcurrentClientsDedupeInFlight)
-{
-    TempDir dir;
-    const std::string sock = dir.path + "/d.sock";
-    const std::vector<sim::SweepJob> jobs{richJob("queens")};
-    sim::RunCache server_cache;
-    ServerGuard guard(sock, 4, &server_cache);
-
-    std::vector<std::vector<sim::ServerCell>> got(4);
-    std::vector<std::thread> clients;
-    for (auto &out : got)
-        clients.emplace_back([&, p = &out] {
-            *p = sim::runSweepOverSocket(sock, jobs);
-        });
-    for (std::thread &t : clients)
-        t.join();
-
-    // Four clients, one cell: exactly one simulation ran.
-    EXPECT_EQ(server_cache.misses(), 1u);
-    for (const auto &cells : got) {
-        ASSERT_EQ(cells.size(), 1u);
-        EXPECT_EQ(bytesOf(got[0][0].result), bytesOf(cells[0].result));
-    }
-}
-
-TEST(SweepServer, MalformedRequestsGetErrorFrames)
-{
-    TempDir dir;
-    const std::string sock = dir.path + "/d.sock";
-    sim::RunCache server_cache;
-    ServerGuard guard(sock, 1, &server_cache);
-
-    const struct
-    {
-        const char *request;
-        const char *expect;
-    } cases[] = {
-        {"{\"type\": \"bogus\"}", "malformed request"},
-        {"not json at all", "malformed request"},
-        // The reply is JSON, so the quotes around "jobs" arrive
-        // backslash-escaped.
-        {"{\"type\": \"sweep\", \"jobs\": \"nope\"}",
-         "bad \\\"jobs\\\" array"},
-        {"{\"type\": \"sweep\", \"jobs\": [\"zz\"]}",
-         "malformed job encoding"},
-    };
-    for (const auto &c : cases) {
-        const int fd = rawConnect(sock);
-        rawSendFrame(fd, c.request);
-        const std::string reply = rawRecvFrame(fd);
-        EXPECT_NE(reply.find("\"type\": \"error\""), std::string::npos)
-            << c.request << " -> " << reply;
-        EXPECT_NE(reply.find(c.expect), std::string::npos)
-            << c.request << " -> " << reply;
-        ::close(fd);
-    }
-}
-
-TEST(SweepServer, ClientVanishingMidBatchStillPopulatesCache)
-{
-    TempDir dir;
-    const std::string sock = dir.path + "/d.sock";
-    const sim::SweepJob job = baseJob();
-    sim::RunCache server_cache;
-    ServerGuard guard(sock, 2, &server_cache);
-
-    // Send a valid batch, then hang up without reading a single
-    // result: the daemon must finish the work into its cache and keep
-    // serving other clients.
-    const int fd = rawConnect(sock);
-    rawSendFrame(fd, "{\"type\": \"sweep\", \"jobs\": [\""
-                         + encodeJob(job) + "\"]}");
-    ::close(fd);
-
-    for (int waited = 0; server_cache.size() < 1 && waited < 30000;
-         waited += 10)
-        std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    EXPECT_EQ(server_cache.size(), 1u);
-
-    const auto cells =
-        sim::runSweepOverSocket(sock, {job});
-    ASSERT_EQ(cells.size(), 1u);
-    EXPECT_TRUE(cells[0].cached); // the abandoned run served this one
-    // The owner bumps the miss counter just after publishing the
-    // result, so a waiter can observe the result first; poll briefly.
-    for (int waited = 0; server_cache.misses() < 1 && waited < 5000;
-         waited += 10)
-        std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    EXPECT_EQ(server_cache.misses(), 1u);
-}
-
-TEST(SweepServer, RestartedDaemonServesWarmCacheFromDisk)
-{
-    TempDir dir;
-    const std::string sock = dir.path + "/d.sock";
-    const std::string cache_dir = dir.path + "/cache";
-    const std::vector<sim::SweepJob> jobs{baseJob("queens"),
-                                          richJob("queens")};
-
-    std::vector<std::vector<std::uint8_t>> first;
-    {
-        sim::RunCache c1;
-        c1.attachDisk(std::make_shared<sim::DiskRunCache>(cache_dir));
-        ServerGuard guard(sock, 2, &c1);
-        for (const auto &cell : sim::runSweepOverSocket(sock, jobs))
-            first.push_back(bytesOf(cell.result));
-    } // daemon gone; only the disk store survives
-
-    sim::RunCache c2;
-    c2.attachDisk(std::make_shared<sim::DiskRunCache>(cache_dir));
-    ServerGuard guard(sock, 2, &c2);
-    const auto cells = sim::runSweepOverSocket(sock, jobs);
-    ASSERT_EQ(cells.size(), jobs.size());
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-        EXPECT_TRUE(cells[i].cached) << i;
-        EXPECT_EQ(first[i], bytesOf(cells[i].result)) << i;
-    }
-    EXPECT_EQ(c2.diskHits(), jobs.size());
-    EXPECT_EQ(c2.misses(), 0u);
-}
-
-TEST(SweepClient, UnreachableSocketIsAClearError)
-{
-    TempDir dir;
-    try {
-        sim::runSweepOverSocket(dir.path + "/nobody.sock",
-                                {baseJob()}, 1000);
-        FAIL() << "expected FatalError";
-    } catch (const FatalError &err) {
-        EXPECT_NE(std::string(err.what()).find("vspec_sweepd"),
-                  std::string::npos)
-            << err.what();
-    }
 }
 
 } // namespace

@@ -146,12 +146,11 @@ TEST(JobKey, ModelNameIsCosmetic)
 // CoreConfig field that jobKey forgets silently serves wrong cached
 // results forever. The static_asserts trip whenever CoreConfig or
 // SpecModel grows/shrinks; on a size change, audit jobKey() in
-// sweep.cc (and the sweep-job codec in server.cc), then update the
-// sizes AND the mutation table below.
+// sweep.cc, then update the sizes AND the mutation table below.
 static_assert(sizeof(core::CoreConfig) == 464,
-              "CoreConfig changed: audit jobKey() + saveSweepJob()");
+              "CoreConfig changed: audit jobKey()");
 static_assert(sizeof(SpecModel) == 80,
-              "SpecModel changed: audit jobKey() + saveSweepJob()");
+              "SpecModel changed: audit jobKey()");
 
 TEST(JobKey, EveryRelevantFieldChangesTheKey)
 {

@@ -155,6 +155,15 @@ TEST(Stride, LearnsArithmeticSequence)
     predictAndTrain(vp, pc, 108);
     for (std::uint64_t v = 112; v < 160; v += 4)
         EXPECT_EQ(predictAndTrain(vp, pc, v), v);
+
+    // A step of 2^62 crosses the sign boundary every other value, and
+    // the sequence wraps past 2^64: deltas are taken modulo 2^64.
+    const std::uint64_t wide_pc = 0x20;
+    const std::uint64_t step = std::uint64_t{1} << 62;
+    for (std::uint64_t i = 0; i < 3; ++i)
+        predictAndTrain(vp, wide_pc, i * step);
+    for (std::uint64_t i = 3; i < 8; ++i)
+        EXPECT_EQ(predictAndTrain(vp, wide_pc, i * step), i * step) << i;
 }
 
 TEST(Stride, TwoDeltaFiltersOneOffJumps)

@@ -29,7 +29,6 @@
 #include "vsim/core/window_types.hh"
 #include "vsim/sim/disk_cache.hh"
 #include "vsim/sim/report.hh"
-#include "vsim/sim/server.hh"
 #include "vsim/sim/sweep.hh"
 
 namespace
@@ -133,10 +132,6 @@ usage(const char *argv0)
                  "on insert (also via\n"
                  "                        VSIM_CACHE_MAX_BYTES; needs a "
                  "cache directory)\n"
-                 "  --server SOCK         run the sweep through a "
-                 "vspec-sweepd daemon at the\n"
-                 "                        given Unix socket instead of "
-                 "simulating locally\n"
                  "named sweeps:\n",
                  argv0, static_cast<int>(std::strlen(argv0) + 7), "",
                  argv0);
@@ -213,7 +208,7 @@ main(int argc, char **argv)
     int shard_jobs = 1;
     bool warmup_set = false;
     bool shard_jobs_set = false;
-    std::string cache_dir, server_sock;
+    std::string cache_dir;
     std::uint64_t cache_max_bytes = 0;
 
     for (int i = 1; i < argc; ++i) {
@@ -350,8 +345,6 @@ main(int argc, char **argv)
             cache_max_bytes = parsePositiveU64(
                 argv[0], "--cache-max-bytes",
                 need_value("--cache-max-bytes"));
-        } else if (!std::strcmp(argv[i], "--server")) {
-            server_sock = need_value("--server");
         } else if (!std::strcmp(argv[i], "--sweep-kind")) {
             const std::string k = need_value("--sweep-kind");
             if (k == "sparse")
@@ -406,21 +399,12 @@ main(int argc, char **argv)
                              "--shards, --interval-insts or --sample\n");
         return 2;
     }
-    if (!cache_dir.empty() && !server_sock.empty()) {
-        std::fprintf(stderr,
-                     "--cache-dir and --server are mutually exclusive "
-                     "(the daemon owns the cache)\n");
-        return 2;
-    }
-    // The env fallback only applies to local runs: in server mode the
-    // daemon owns the cache, and an ambient VSIM_CACHE_DIR must not
-    // turn into an error the explicit flags would not produce.
-    if (cache_dir.empty() && server_sock.empty()) {
+    if (cache_dir.empty()) {
         const char *env = std::getenv("VSIM_CACHE_DIR");
         if (env && *env)
             cache_dir = env;
     }
-    if (cache_max_bytes == 0 && server_sock.empty()) {
+    if (cache_max_bytes == 0) {
         const char *env = std::getenv("VSIM_CACHE_MAX_BYTES");
         if (env && *env)
             cache_max_bytes = parsePositiveU64(
@@ -492,39 +476,19 @@ main(int argc, char **argv)
                 job.cfg.model.memNeedsValidOps = *mem_valid_override;
         }
 
-        std::vector<sim::RunResult> results;
+        if (!cache_dir.empty()) {
+            auto disk = std::make_shared<sim::DiskRunCache>(cache_dir);
+            disk->setMaxBytes(cache_max_bytes);
+            sim::RunCache::process().attachDisk(std::move(disk));
+        }
         // Spans are always collected: --json reports per-cell
         // wall-clock and simulation rate alongside the stats.
         std::vector<sim::JobSpan> spans;
-        if (!server_sock.empty()) {
-            // Thin-client mode: ship the batch to the daemon and map
-            // the returned cells back into the local report pipeline,
-            // so every output format below renders byte-identically
-            // to a direct run.
-            const std::vector<sim::ServerCell> cells =
-                sim::runSweepOverSocket(server_sock, sweep_jobs);
-            spans.resize(sweep_jobs.size());
-            results.reserve(cells.size());
-            for (std::size_t i = 0; i < cells.size(); ++i) {
-                results.push_back(cells[i].result);
-                spans[i].index = i;
-                spans[i].label = sweep_jobs[i].label;
-                spans[i].workload = sweep_jobs[i].workload;
-                spans[i].worker = -1;
-                spans[i].cacheHit = cells[i].cached;
-            }
-        } else {
-            if (!cache_dir.empty()) {
-                auto disk =
-                    std::make_shared<sim::DiskRunCache>(cache_dir);
-                disk->setMaxBytes(cache_max_bytes);
-                sim::RunCache::process().attachDisk(std::move(disk));
-            }
-            sim::SweepRunner runner(jobs);
-            runner.setProgress(progress);
-            runner.setSpanSink(&spans);
-            results = runner.run(sweep_jobs);
-        }
+        sim::SweepRunner runner(jobs);
+        runner.setProgress(progress);
+        runner.setSpanSink(&spans);
+        const std::vector<sim::RunResult> results =
+            runner.run(sweep_jobs);
 
         std::printf("== sweep %s: %zu runs (%d worker%s) ==\n\n",
                     spec.name.c_str(), sweep_jobs.size(), jobs,
