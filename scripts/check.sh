@@ -63,7 +63,7 @@ cmake -B build-asan -S . -DVSIM_SANITIZE=address,undefined >/dev/null
 cmake --build build-asan -j --target \
     test_core_base test_core_vspec test_core_misc test_core_xprod \
     test_policy test_event_queue test_scheduler test_sweepdiff test_cpi \
-    test_fuzz test_vpred
+    test_fuzz test_vpred test_mask_width
 ./build-asan/tests/test_core_base
 ./build-asan/tests/test_core_vspec
 ./build-asan/tests/test_core_misc
@@ -77,6 +77,10 @@ cmake --build build-asan -j --target \
 # Predictor tables do wrapping arithmetic on 64-bit values (stride
 # deltas across the sign boundary).
 ./build-asan/tests/test_vpred
+# Every mask width must match the 512-bit core byte for byte, with the
+# subscriber-index invariants checked mid-run: a narrow mask indexed
+# past its last word is exactly what ASan/UBSan catch.
+./build-asan/tests/test_mask_width
 # The full cross product is covered (without sanitizers) by ctest;
 # under ASan run the regression slice plus the speculative
 # memory-resolution slice (memDeps bookkeeping is exactly the kind of
@@ -153,6 +157,16 @@ for kind in sparse dense; do
         --window 256 --model good --conf always --mem-resolution spec \
         --sweep-kind "$kind" \
         | diff - tests/golden/run_m88k_w256_good_always_specmem.txt
+    # Just past each mask-width edge (128 and 256 bits): these windows
+    # run on the next wider mask, and must match the captures taken
+    # when every window ran on 512-bit masks.
+    ./build/tools/vspec_run --workload m88k --scale 1 --width 8 \
+        --window 129 --model great --sweep-kind "$kind" \
+        | diff - tests/golden/run_m88k_w129_great.txt
+    ./build/tools/vspec_run --workload m88k --scale 1 --width 8 \
+        --window 257 --model great --mem-resolution spec \
+        --sweep-kind "$kind" \
+        | diff - tests/golden/run_m88k_w257_great_specmem.txt
     for sweep in base fig3 fig4 confidence predictors verif-latency \
                  reissue-latency; do
         ./build/tools/vspec_sweep "$sweep" --quick --scale 1 --jobs 4 \

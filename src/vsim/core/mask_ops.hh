@@ -1,13 +1,14 @@
 /**
  * @file
- * Word-level operations over the SpecMask bitset storage. The
- * speculation sweeps (§3.1/§3.2) and the subscriber bookkeeping spend
- * their time asking three questions — "is bit p set (and clear it)",
- * "do these masks intersect", "which bits are set" — and the idiomatic
- * std::bitset spellings hide the word-parallel answers behind
- * per-call-site test/reset pairs and full-mask temporaries. This
- * header names the patterns once so the hot paths read as intent and
- * compile to the underlying word scans.
+ * Word-level operations over the SpecMask bitset storage, at every
+ * mask width the core is built for. The speculation sweeps
+ * (§3.1/§3.2) and the subscriber bookkeeping spend their time asking
+ * three questions — "is bit p set (and clear it)", "do these masks
+ * intersect", "which bits are set" — and the idiomatic std::bitset
+ * spellings hide the word-parallel answers behind per-call-site
+ * test/reset pairs and full-mask temporaries. This header names the
+ * patterns once so the hot paths read as intent and compile to the
+ * underlying word scans.
  *
  * The scans view the bitset as an array of 64-bit words (std::bit_cast
  * — libstdc++ stores bit b of a bitset in word b/64 at position b%64,
@@ -33,8 +34,9 @@ namespace vsim::core::mask
 {
 
 /** @return whether @p bit was set; the bit is clear afterwards. */
+template <std::size_t Bits>
 inline bool
-testAndClear(SpecMask &m, std::size_t bit)
+testAndClear(SpecMask<Bits> &m, std::size_t bit)
 {
     if (!m.test(bit))
         return false;
@@ -43,24 +45,29 @@ testAndClear(SpecMask &m, std::size_t bit)
 }
 
 /** Any bit set in both masks? (One word-parallel AND, no branch per bit.) */
+template <std::size_t Bits>
 inline bool
-anyIntersect(const SpecMask &a, const SpecMask &b)
+anyIntersect(const SpecMask<Bits> &a, const SpecMask<Bits> &b)
 {
     return (a & b).any();
 }
 
-inline constexpr std::size_t kMaskWords = kMaxWindow / 64;
+template <std::size_t Bits>
+inline constexpr std::size_t kMaskWords = Bits / 64;
 
 /** The mask reinterpreted as ascending 64-bit words (word i holds
  *  bits [64i, 64i+64)). */
-using MaskWords = std::array<std::uint64_t, kMaskWords>;
+template <std::size_t Bits>
+using MaskWords = std::array<std::uint64_t, kMaskWords<Bits>>;
 
 /** Direct word view is valid: libstdc++ unsigned-long storage on a
  *  little-endian LP64 host with a whole number of words. */
+template <std::size_t Bits>
 inline constexpr bool kDirectWordView =
 #if defined(__GLIBCXX__)
     std::endian::native == std::endian::little
-    && sizeof(SpecMask) == sizeof(MaskWords) && kMaxWindow % 64 == 0;
+    && sizeof(SpecMask<Bits>) == sizeof(MaskWords<Bits>)
+    && Bits % 64 == 0;
 #else
     false;
 #endif
@@ -68,10 +75,11 @@ inline constexpr bool kDirectWordView =
 /** @return word @p wi of @p m (bits [64*wi, 64*wi+64)), loaded in
  *  place — no full-mask copy, so early-exit scans touch only the
  *  words they read. The memcpy compiles to a single 8-byte load. */
+template <std::size_t Bits>
 inline std::uint64_t
-wordAt(const SpecMask &m, std::size_t wi)
+wordAt(const SpecMask<Bits> &m, std::size_t wi)
 {
-    if constexpr (kDirectWordView) {
+    if constexpr (kDirectWordView<Bits>) {
         std::uint64_t w;
         std::memcpy(&w,
                     reinterpret_cast<const unsigned char *>(&m)
@@ -79,19 +87,20 @@ wordAt(const SpecMask &m, std::size_t wi)
                     sizeof(w));
         return w;
     } else {
-        return ((m >> (wi * 64)) & SpecMask(~0ull)).to_ullong();
+        return ((m >> (wi * 64)) & SpecMask<Bits>(~0ull)).to_ullong();
     }
 }
 
 /** @return @p m as 64-bit words, cheapest way the host allows. */
-inline MaskWords
-toWords(const SpecMask &m)
+template <std::size_t Bits>
+inline MaskWords<Bits>
+toWords(const SpecMask<Bits> &m)
 {
-    if constexpr (kDirectWordView) {
-        return std::bit_cast<MaskWords>(m);
+    if constexpr (kDirectWordView<Bits>) {
+        return std::bit_cast<MaskWords<Bits>>(m);
     } else {
-        MaskWords words{};
-        for (std::size_t w = 0; w < kMaskWords; ++w)
+        MaskWords<Bits> words{};
+        for (std::size_t w = 0; w < kMaskWords<Bits>; ++w)
             words[w] = wordAt(m, w);
         return words;
     }
@@ -103,14 +112,14 @@ toWords(const SpecMask &m)
  * countr_zero / clear-lowest-set loop, so the iteration count equals
  * the popcount plus one compare per word.
  */
-template <typename Fn>
+template <std::size_t Bits, typename Fn>
 inline void
-forEachSetBit(const SpecMask &m, Fn &&fn)
+forEachSetBit(const SpecMask<Bits> &m, Fn &&fn)
 {
     // Unrolled: sparse masks pay mostly loop overhead otherwise, and
-    // the trip count is a compile-time constant (8 at kMaxWindow=512).
+    // the trip count is a compile-time constant (2 to 8 words).
 #pragma GCC unroll 8
-    for (std::size_t wi = 0; wi < kMaskWords; ++wi) {
+    for (std::size_t wi = 0; wi < kMaskWords<Bits>; ++wi) {
         std::uint64_t w = wordAt(m, wi);
         const int base = static_cast<int>(wi * 64);
         while (w) {
@@ -121,11 +130,12 @@ forEachSetBit(const SpecMask &m, Fn &&fn)
 }
 
 /** First set bit of @p m, or -1 when empty. */
+template <std::size_t Bits>
 inline int
-findFirst(const SpecMask &m)
+findFirst(const SpecMask<Bits> &m)
 {
 #pragma GCC unroll 8
-    for (std::size_t wi = 0; wi < kMaskWords; ++wi) {
+    for (std::size_t wi = 0; wi < kMaskWords<Bits>; ++wi) {
         const std::uint64_t w = wordAt(m, wi);
         if (w)
             return static_cast<int>(wi * 64) + std::countr_zero(w);

@@ -20,8 +20,9 @@ namespace vsim::core
 // completion / broadcast
 // =====================================================================
 
+template <std::size_t Bits>
 void
-OooCore::broadcast(RsEntry &producer)
+BasicOooCore<Bits>::broadcast(RsEntry<Bits> &producer)
 {
     const bool keep_prediction =
         producer.predicted && !producer.predResolved;
@@ -30,10 +31,10 @@ OooCore::broadcast(RsEntry &producer)
         // Legacy result bus: sweep every younger entry for operands
         // tagged to this producer.
         for (int slot : windowOrder) {
-            RsEntry &f = entry(slot);
+            RsEntry<Bits> &f = entry(slot);
             if (f.seq <= producer.seq)
                 continue;
-            for (Operand &o : f.src) {
+            for (Operand<Bits> &o : f.src) {
                 if (!o.used() || o.state != OperandState::Invalid
                     || o.tag != producer.slot) {
                     continue;
@@ -77,10 +78,10 @@ OooCore::broadcast(RsEntry &producer)
     waiterScratch.clear();
     std::swap(waiterScratch, list);
     for (const auto &[slot, idx] : waiterScratch) {
-        RsEntry &f = entry(slot);
+        RsEntry<Bits> &f = entry(slot);
         if (!f.busy || f.seq <= producer.seq)
             continue;
-        Operand &o = f.src[idx];
+        Operand<Bits> &o = f.src[idx];
         if (!o.used() || o.state != OperandState::Invalid
             || o.tag != producer.slot) {
             continue;
@@ -111,13 +112,14 @@ OooCore::broadcast(RsEntry &producer)
     }
 }
 
+template <std::size_t Bits>
 void
-OooCore::applyCompletions()
+BasicOooCore<Bits>::applyCompletions()
 {
     auto it = completions.begin();
     while (it != completions.end() && it->first <= cycle) {
         for (const Completion &c : it->second) {
-            RsEntry &e = entry(c.slot);
+            RsEntry<Bits> &e = entry(c.slot);
             if (!e.busy || e.seq != c.seq || e.nonce != c.nonce
                 || !e.issued || e.executed) {
                 continue; // stale (nullified or squashed meanwhile)
@@ -127,7 +129,7 @@ OooCore::applyCompletions()
             ec.execDoneAt = cycle;
             e.outValue = c.value;
             e.outDeps.reset();
-            for (const Operand &o : e.src) {
+            for (const Operand<Bits> &o : e.src) {
                 if (o.used())
                     e.outDeps |= o.deps;
             }
@@ -181,8 +183,9 @@ OooCore::applyCompletions()
 // verification / invalidation events
 // =====================================================================
 
+template <std::size_t Bits>
 void
-OooCore::doEqCheck(RsEntry &e)
+BasicOooCore<Bits>::doEqCheck(RsEntry<Bits> &e)
 {
     if (!e.executed || !e.outDeps.none() || !e.predicted
         || e.predResolved) {
@@ -203,12 +206,13 @@ OooCore::doEqCheck(RsEntry &e)
     }
 }
 
+template <std::size_t Bits>
 void
-OooCore::processEvents()
+BasicOooCore<Bits>::processEvents()
 {
     while (events.due(cycle)) {
         for (const Event &ev : events.popBatch(cycle)) {
-            RsEntry &e = entry(ev.slot);
+            RsEntry<Bits> &e = entry(ev.slot);
             if (!e.busy || e.seq != ev.seq)
                 continue; // squashed
             switch (ev.kind) {
@@ -239,20 +243,21 @@ OooCore::processEvents()
 // retire
 // =====================================================================
 
+template <std::size_t Bits>
 bool
-OooCore::retireOne()
+BasicOooCore<Bits>::retireOne()
 {
     if (windowOrder.empty())
         return false;
     const int slot = windowOrder.front();
-    RsEntry &e = entry(slot);
+    RsEntry<Bits> &e = entry(slot);
     RsCold &ec = cold(slot);
 
     if (!e.executed || !e.outDeps.none())
         return false;
     if (e.predicted && !e.predResolved)
         return false;
-    for (const Operand &o : e.src) {
+    for (const Operand<Bits> &o : e.src) {
         if (o.used() && o.state != OperandState::Valid)
             return false;
     }
@@ -284,14 +289,14 @@ OooCore::retireOne()
                 }
             } else {
                 for (int other : windowOrder) {
-                    const RsEntry &f = entry(other);
+                    const RsEntry<Bits> &f = entry(other);
                     if (f.slot == e.slot)
                         continue;
                     if (f.executed && f.outDeps.test(pbit))
                         return false;
                     if (f.memDeps.test(pbit))
                         return false;
-                    for (const Operand &o : f.src) {
+                    for (const Operand<Bits> &o : f.src) {
                         if (o.used() && o.deps.test(pbit))
                             return false;
                     }
@@ -400,8 +405,9 @@ OooCore::retireOne()
     return true;
 }
 
+template <std::size_t Bits>
 void
-OooCore::retireStage()
+BasicOooCore<Bits>::retireStage()
 {
     const int width = cfg.effRetireWidth();
     for (int n = 0; n < width && !halted; ++n) {
@@ -409,5 +415,17 @@ OooCore::retireStage()
             break;
     }
 }
+
+// This file's members at every mask width (the class and the members
+// defined in ooo_core.cc are instantiated there).
+#define VSIM_INSTANTIATE(Bits)                                            \
+    template void BasicOooCore<Bits>::broadcast(RsEntry<Bits> &);         \
+    template void BasicOooCore<Bits>::applyCompletions();                 \
+    template void BasicOooCore<Bits>::doEqCheck(RsEntry<Bits> &);         \
+    template void BasicOooCore<Bits>::processEvents();                    \
+    template bool BasicOooCore<Bits>::retireOne();                        \
+    template void BasicOooCore<Bits>::retireStage();
+VSIM_FOR_EACH_MASK_WIDTH(VSIM_INSTANTIATE)
+#undef VSIM_INSTANTIATE
 
 } // namespace vsim::core

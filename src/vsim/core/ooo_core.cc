@@ -1,11 +1,12 @@
 /**
  * @file
- * OooCore backbone: construction, window slot management, squash,
- * nullification, the SpecHooks bridge into the policy sweeps, the
- * wakeup-scheduler bookkeeping, observability sampling and the
- * top-level cycle loop. The pipeline stages themselves live in
- * ooo_frontend.cc (fetch/dispatch), ooo_issue.cc (wakeup/select/issue)
- * and ooo_commit.cc (completion/events/retire).
+ * Core backbone (BasicOooCore): construction, window slot management,
+ * squash, nullification, the SpecHooks bridge into the policy sweeps,
+ * the wakeup-scheduler bookkeeping, observability sampling and the
+ * top-level cycle loop; then OooCore, which picks the mask width per
+ * job. The pipeline stages themselves live in ooo_frontend.cc
+ * (fetch/dispatch), ooo_issue.cc (wakeup/select/issue) and
+ * ooo_commit.cc (completion/events/retire).
  */
 
 #include "ooo_core.hh"
@@ -18,20 +19,11 @@
 namespace vsim::core
 {
 
-OooCore::OooCore(const assembler::Program &prog, const CoreConfig &config)
-    : OooCore(prog, arch::preExecute(prog), config)
-{}
-
-OooCore::OooCore(const assembler::Program &prog, arch::ExecTrace recorded,
-                 const CoreConfig &config)
-    : OooCore(prog,
-              std::make_shared<const arch::ExecTrace>(std::move(recorded)),
-              config)
-{}
-
-OooCore::OooCore(const assembler::Program &prog,
-                 std::shared_ptr<const arch::ExecTrace> recorded,
-                 const CoreConfig &config)
+template <std::size_t Bits>
+BasicOooCore<Bits>::BasicOooCore(
+    const assembler::Program &prog,
+    std::shared_ptr<const arch::ExecTrace> recorded,
+    const CoreConfig &config)
     : cfg(config), model(config.model),
       policies(makePolicies(config.model)),
       traceOwned(std::move(recorded)), trace(*traceOwned),
@@ -46,7 +38,8 @@ OooCore::OooCore(const assembler::Program &prog,
       dcacheH(config.dcache, l2,
               {config.dcacheHitLat, config.l2HitLat, config.l2MissLat})
 {
-    VSIM_ASSERT(cfg.windowSize > 0 && cfg.windowSize <= kMaxWindow,
+    VSIM_ASSERT(cfg.windowSize > 0
+                    && cfg.windowSize <= static_cast<int>(Bits),
                 "window size ", cfg.windowSize, " out of range");
     VSIM_ASSERT(cfg.issueWidth > 0, "bad issue width");
 
@@ -84,10 +77,12 @@ OooCore::OooCore(const assembler::Program &prog,
         ledgerIdx.assign(static_cast<std::size_t>(cfg.windowSize), -1);
 }
 
-OooCore::~OooCore() = default;
+template <std::size_t Bits>
+BasicOooCore<Bits>::~BasicOooCore() = default;
 
+template <std::size_t Bits>
 void
-OooCore::setPredictionOverride(PredictionOverride override_fn)
+BasicOooCore<Bits>::setPredictionOverride(PredictionOverride override_fn)
 {
     predOverride = std::move(override_fn);
 }
@@ -96,8 +91,9 @@ OooCore::setPredictionOverride(PredictionOverride override_fn)
 // snapshot start / shard stats window
 // =====================================================================
 
+template <std::size_t Bits>
 void
-OooCore::startFromSnapshot(const SimSnapshot &snap)
+BasicOooCore<Bits>::startFromSnapshot(const SimSnapshot &snap)
 {
     VSIM_ASSERT(cycle == 0 && retiredCount == 0 && liveEntries == 0,
                 "startFromSnapshot on a running core");
@@ -125,9 +121,10 @@ OooCore::startFromSnapshot(const SimSnapshot &snap)
     VSIM_ASSERT(r.done(), "trailing bytes in snapshot tables");
 }
 
+template <std::size_t Bits>
 void
-OooCore::setRunWindow(std::uint64_t stats_from_retired,
-                      std::uint64_t stop_after_retired)
+BasicOooCore<Bits>::setRunWindow(std::uint64_t stats_from_retired,
+                                 std::uint64_t stop_after_retired)
 {
     VSIM_ASSERT(cycle == 0, "setRunWindow on a running core");
     VSIM_ASSERT(stats_from_retired >= retiredCount,
@@ -143,8 +140,9 @@ OooCore::setRunWindow(std::uint64_t stats_from_retired,
     statsOpen = retiredCount >= statsFromRetired;
 }
 
+template <std::size_t Bits>
 void
-OooCore::openStatsWindow()
+BasicOooCore<Bits>::openStatsWindow()
 {
     statsOpen = true;
     statsCut.cycleAt = cycle;
@@ -176,15 +174,16 @@ OooCore::openStatsWindow()
 // slot management
 // =====================================================================
 
+template <std::size_t Bits>
 int
-OooCore::allocSlot()
+BasicOooCore<Bits>::allocSlot()
 {
     VSIM_ASSERT(!freeSlots.empty(), "window overflow");
     const int slot = freeSlots.back();
     freeSlots.pop_back();
     ++liveEntries;
-    RsEntry &e = window[static_cast<std::size_t>(slot)];
-    e = RsEntry{};
+    RsEntry<Bits> &e = window[static_cast<std::size_t>(slot)];
+    e = RsEntry<Bits>{};
     windowCold[static_cast<std::size_t>(slot)] = RsCold{};
     e.busy = true;
     // Waiters of the slot's previous tenant are all dead by now (a
@@ -194,10 +193,11 @@ OooCore::allocSlot()
     return slot;
 }
 
+template <std::size_t Bits>
 void
-OooCore::freeSlot(int slot)
+BasicOooCore<Bits>::freeSlot(int slot)
 {
-    RsEntry &e = entry(slot);
+    RsEntry<Bits> &e = entry(slot);
     VSIM_ASSERT(e.busy, "freeing idle slot");
     e.busy = false;
     freeSlots.push_back(slot);
@@ -208,12 +208,13 @@ OooCore::freeSlot(int slot)
         ledgerIdx[static_cast<std::size_t>(slot)] = -1;
 }
 
+template <std::size_t Bits>
 void
-OooCore::rebuildRegTags()
+BasicOooCore<Bits>::rebuildRegTags()
 {
     regTag.fill(-1);
     for (int slot : windowOrder) {
-        const RsEntry &e = entry(slot);
+        const RsEntry<Bits> &e = entry(slot);
         if (int dest = e.inst.destReg(); dest >= 0)
             regTag[static_cast<std::size_t>(dest)] = slot;
     }
@@ -223,13 +224,15 @@ OooCore::rebuildRegTags()
 // squash
 // =====================================================================
 
+template <std::size_t Bits>
 void
-OooCore::squashAfter(std::uint64_t seq, std::uint64_t new_fetch_pc,
-                     std::int64_t resume_trace_idx)
+BasicOooCore<Bits>::squashAfter(std::uint64_t seq,
+                                std::uint64_t new_fetch_pc,
+                                std::int64_t resume_trace_idx)
 {
     while (!windowOrder.empty()) {
         const int slot = windowOrder.back();
-        RsEntry &e = entry(slot);
+        RsEntry<Bits> &e = entry(slot);
         if (e.seq <= seq)
             break;
         if (e.predicted && !e.predResolved) {
@@ -263,8 +266,9 @@ OooCore::squashAfter(std::uint64_t seq, std::uint64_t new_fetch_pc,
 // nullification / prediction resolution
 // =====================================================================
 
+template <std::size_t Bits>
 void
-OooCore::nullify(RsEntry &e)
+BasicOooCore<Bits>::nullify(RsEntry<Bits> &e)
 {
     // Wakeup nullification (§3.4): remove the effects of the previous
     // execution and enable a future wakeup.
@@ -287,8 +291,9 @@ OooCore::nullify(RsEntry &e)
     touchWakeup(e.slot);
 }
 
+template <std::size_t Bits>
 void
-OooCore::noteOutputValid(RsEntry &e, bool via_event)
+BasicOooCore<Bits>::noteOutputValid(RsEntry<Bits> &e, bool via_event)
 {
     e.outValid = true;
     RsCold &ec = cold(e.slot);
@@ -303,8 +308,9 @@ OooCore::noteOutputValid(RsEntry &e, bool via_event)
     }
 }
 
+template <std::size_t Bits>
 void
-OooCore::resolvePrediction(RsEntry &p, bool verified)
+BasicOooCore<Bits>::resolvePrediction(RsEntry<Bits> &p, bool verified)
 {
     if (p.predResolved)
         return;
@@ -324,20 +330,23 @@ OooCore::resolvePrediction(RsEntry &p, bool verified)
 // SpecHooks: side effects raised by the policy sweeps
 // =====================================================================
 
+template <std::size_t Bits>
 void
-OooCore::outputBecameValid(RsEntry &e)
+BasicOooCore<Bits>::outputBecameValid(RsEntry<Bits> &e)
 {
     noteOutputValid(e, true);
 }
 
+template <std::size_t Bits>
 void
-OooCore::nullifyEntry(RsEntry &e)
+BasicOooCore<Bits>::nullifyEntry(RsEntry<Bits> &e)
 {
     nullify(e);
 }
 
+template <std::size_t Bits>
 void
-OooCore::completeSquash(RsEntry &p)
+BasicOooCore<Bits>::completeSquash(RsEntry<Bits> &p)
 {
     // Complete invalidation (§3.1): treat the value misprediction
     // like a branch misprediction — squash everything younger than
@@ -348,8 +357,9 @@ OooCore::completeSquash(RsEntry &p)
                 p.traceIndex >= 0 ? p.traceIndex + 1 : -1);
 }
 
+template <std::size_t Bits>
 void
-OooCore::wakeupChanged(RsEntry &e)
+BasicOooCore<Bits>::wakeupChanged(RsEntry<Bits> &e)
 {
     // A policy sweep may have rewritten the entry's operand masks
     // (the hierarchical invalidation wave re-captures a corrected
@@ -358,8 +368,9 @@ OooCore::wakeupChanged(RsEntry &e)
     touchWakeup(e.slot);
 }
 
+template <std::size_t Bits>
 void
-OooCore::operandInvalidated(RsEntry &e, int idx)
+BasicOooCore<Bits>::operandInvalidated(RsEntry<Bits> &e, int idx)
 {
     if (!readyListScheduler())
         return;
@@ -368,9 +379,11 @@ OooCore::operandInvalidated(RsEntry &e, int idx)
     sched.touch(e.slot);
 }
 
+template <std::size_t Bits>
 void
-OooCore::attributeSweep(const RsEntry &p, const RsEntry &consumer,
-                        bool invalidation)
+BasicOooCore<Bits>::attributeSweep(const RsEntry<Bits> &p,
+                                   const RsEntry<Bits> &consumer,
+                                   bool invalidation)
 {
     (void)consumer;
     if (invalidation) {
@@ -392,8 +405,9 @@ OooCore::attributeSweep(const RsEntry &p, const RsEntry &consumer,
 // speculation-ledger bookkeeping
 // =====================================================================
 
+template <std::size_t Bits>
 void
-OooCore::notePredConsumed(const RsEntry &producer)
+BasicOooCore<Bits>::notePredConsumed(const RsEntry<Bits> &producer)
 {
     ++stats_.predConsumed;
     if (!cfg.specLedger)
@@ -404,8 +418,9 @@ OooCore::notePredConsumed(const RsEntry &producer)
         ++ledger_.records[static_cast<std::size_t>(i)].consumers;
 }
 
+template <std::size_t Bits>
 void
-OooCore::ledgerPredictionMade(const RsEntry &e)
+BasicOooCore<Bits>::ledgerPredictionMade(const RsEntry<Bits> &e)
 {
     if (!cfg.specLedger)
         return;
@@ -418,8 +433,10 @@ OooCore::ledgerPredictionMade(const RsEntry &e)
     ledger_.records.push_back(r);
 }
 
+template <std::size_t Bits>
 void
-OooCore::ledgerResolved(const RsEntry &p, obs::LedgerOutcome outcome)
+BasicOooCore<Bits>::ledgerResolved(const RsEntry<Bits> &p,
+                                   obs::LedgerOutcome outcome)
 {
     if (!cfg.specLedger)
         return;
@@ -435,15 +452,17 @@ OooCore::ledgerResolved(const RsEntry &p, obs::LedgerOutcome outcome)
 // wakeup-scheduler bookkeeping
 // =====================================================================
 
+template <std::size_t Bits>
 void
-OooCore::touchWakeup(int slot)
+BasicOooCore<Bits>::touchWakeup(int slot)
 {
     if (readyListScheduler())
         sched.touch(slot);
 }
 
+template <std::size_t Bits>
 void
-OooCore::registerWaiter(int consumer_slot, int idx, int tag)
+BasicOooCore<Bits>::registerWaiter(int consumer_slot, int idx, int tag)
 {
     waiters[static_cast<std::size_t>(tag)].push_back(
         {consumer_slot, idx});
@@ -453,8 +472,9 @@ OooCore::registerWaiter(int consumer_slot, int idx, int tag)
 // observability sampling
 // =====================================================================
 
+template <std::size_t Bits>
 obs::CpiCat
-OooCore::classifyCycle(std::uint64_t retired_delta)
+BasicOooCore<Bits>::classifyCycle(std::uint64_t retired_delta)
 {
     using obs::CpiCat;
     if (retired_delta > 0)
@@ -477,7 +497,7 @@ OooCore::classifyCycle(std::uint64_t retired_delta)
 
     // Commit-centric attribution: nothing retired this cycle, so
     // charge whatever holds the window head (the oldest instruction).
-    const RsEntry &e = entry(windowOrder.front());
+    const RsEntry<Bits> &e = entry(windowOrder.front());
     const RsCold &ec = cold(windowOrder.front());
 
     if (e.executed) {
@@ -487,7 +507,7 @@ OooCore::classifyCycle(std::uint64_t retired_delta)
             return CpiCat::Verify;
         if (e.predicted && !e.predResolved)
             return CpiCat::Verify;
-        for (const Operand &o : e.src) {
+        for (const Operand<Bits> &o : e.src) {
             if (o.used() && o.state != OperandState::Valid)
                 return CpiCat::Verify;
         }
@@ -498,7 +518,7 @@ OooCore::classifyCycle(std::uint64_t retired_delta)
             // otherwise it is the machine's plain commit latency.
             if (e.predicted || ec.outValidViaEvent)
                 return CpiCat::Verify;
-            for (const Operand &o : e.src) {
+            for (const Operand<Bits> &o : e.src) {
                 if (o.used() && o.validViaEvent)
                     return CpiCat::Verify;
             }
@@ -519,7 +539,7 @@ OooCore::classifyCycle(std::uint64_t retired_delta)
     // mirroring canIssue()'s order.
     if (cycle < e.reissueAt)
         return CpiCat::Reissue;
-    for (const Operand &o : e.src) {
+    for (const Operand<Bits> &o : e.src) {
         if (!o.used())
             continue;
         if (!o.hasValue()) {
@@ -538,7 +558,7 @@ OooCore::classifyCycle(std::uint64_t retired_delta)
             ? model.branchNeedsValidOps || !cfg.useValuePrediction
             : false;
     if (needs_valid) {
-        for (const Operand &o : e.src) {
+        for (const Operand<Bits> &o : e.src) {
             if (!o.used())
                 continue;
             if (o.state != OperandState::Valid)
@@ -552,7 +572,7 @@ OooCore::classifyCycle(std::uint64_t retired_delta)
     }
     if (e.inst.isMem()
         && (model.memNeedsValidOps || !cfg.useValuePrediction)) {
-        const Operand &base = e.inst.isLoad() ? e.src[0] : e.src[1];
+        const Operand<Bits> &base = e.inst.isLoad() ? e.src[0] : e.src[1];
         if (base.used()) {
             if (base.state != OperandState::Valid)
                 return CpiCat::Verify;
@@ -581,8 +601,9 @@ OooCore::classifyCycle(std::uint64_t retired_delta)
     return CpiCat::Base;
 }
 
+template <std::size_t Bits>
 void
-OooCore::flushInterval(std::uint64_t cycles)
+BasicOooCore<Bits>::flushInterval(std::uint64_t cycles)
 {
     obs::IntervalSample s;
     s.cycleStart = ivCursor.cycleStart;
@@ -618,8 +639,9 @@ OooCore::flushInterval(std::uint64_t cycles)
     ivCursor.cpi = stats_.cpi;
 }
 
+template <std::size_t Bits>
 void
-OooCore::sampleObservability()
+BasicOooCore<Bits>::sampleObservability()
 {
     // Always-on cycle attribution: exactly one category per tick, so
     // the stack sums to total cycles by construction. Like the
@@ -650,8 +672,9 @@ OooCore::sampleObservability()
 // top level
 // =====================================================================
 
+template <std::size_t Bits>
 bool
-OooCore::tick()
+BasicOooCore<Bits>::tick()
 {
     if (halted)
         return false;
@@ -673,8 +696,9 @@ OooCore::tick()
     return !halted;
 }
 
+template <std::size_t Bits>
 SimOutcome
-OooCore::run()
+BasicOooCore<Bits>::run()
 {
     while (!halted && cycle < cfg.maxCycles
            && retiredCount < stopAfterRetired)
@@ -720,7 +744,7 @@ OooCore::run()
     // run (wrong-path entries stay uncommitted there too).
     if (shardWindowed && !halted && cfg.specLedger) {
         for (const int slot : windowOrder) {
-            const RsEntry &e = entry(slot);
+            const RsEntry<Bits> &e = entry(slot);
             const std::int64_t li =
                 ledgerIdx[static_cast<std::size_t>(slot)];
             if (e.busy && e.predicted && e.traceIndex >= 0 && li >= 0)
@@ -758,6 +782,130 @@ OooCore::run()
     outcome.intervals = intervals_;
     outcome.ledger = ledger_;
     return outcome;
+}
+
+#define VSIM_INSTANTIATE(Bits) template class BasicOooCore<Bits>;
+VSIM_FOR_EACH_MASK_WIDTH(VSIM_INSTANTIATE)
+#undef VSIM_INSTANTIATE
+
+// =====================================================================
+// OooCore: the width picked per job
+// =====================================================================
+
+OooCore::OooCore(const assembler::Program &prog, const CoreConfig &config)
+    : OooCore(prog, arch::preExecute(prog), config)
+{}
+
+OooCore::OooCore(const assembler::Program &prog, arch::ExecTrace recorded,
+                 const CoreConfig &config)
+    : OooCore(prog,
+              std::make_shared<const arch::ExecTrace>(std::move(recorded)),
+              config)
+{}
+
+OooCore::OooCore(const assembler::Program &prog,
+                 std::shared_ptr<const arch::ExecTrace> recorded,
+                 const CoreConfig &config)
+{
+    switch (maskBitsFor(config.windowSize)) {
+      case 128:
+        core_ = std::make_unique<BasicOooCore<128>>(
+            prog, std::move(recorded), config);
+        break;
+      case 256:
+        core_ = std::make_unique<BasicOooCore<256>>(
+            prog, std::move(recorded), config);
+        break;
+      default:
+        core_ = std::make_unique<BasicOooCore<512>>(
+            prog, std::move(recorded), config);
+        break;
+    }
+}
+
+OooCore::~OooCore() = default;
+
+void
+OooCore::setPredictionOverride(PredictionOverride override_fn)
+{
+    std::visit([&](auto &c) {
+        c->setPredictionOverride(std::move(override_fn));
+    }, core_);
+}
+
+void
+OooCore::startFromSnapshot(const SimSnapshot &snap)
+{
+    std::visit([&](auto &c) { c->startFromSnapshot(snap); }, core_);
+}
+
+void
+OooCore::setRunWindow(std::uint64_t stats_from_retired,
+                      std::uint64_t stop_after_retired)
+{
+    std::visit([&](auto &c) {
+        c->setRunWindow(stats_from_retired, stop_after_retired);
+    }, core_);
+}
+
+std::uint64_t
+OooCore::statsCutCycle() const
+{
+    return std::visit([](auto &c) { return c->statsCutCycle(); }, core_);
+}
+
+SimOutcome
+OooCore::run()
+{
+    return std::visit([](auto &c) { return c->run(); }, core_);
+}
+
+bool
+OooCore::tick()
+{
+    return std::visit([](auto &c) { return c->tick(); }, core_);
+}
+
+const CoreStats &
+OooCore::stats() const
+{
+    return std::visit(
+        [](auto &c) -> const CoreStats & { return c->stats(); }, core_);
+}
+
+const PipelineTracer &
+OooCore::tracer() const
+{
+    return std::visit(
+        [](auto &c) -> const PipelineTracer & { return c->tracer(); },
+        core_);
+}
+
+std::uint64_t
+OooCore::now() const
+{
+    return std::visit([](auto &c) { return c->now(); }, core_);
+}
+
+const PerPcVp &
+OooCore::perPcVpStats() const
+{
+    return std::visit(
+        [](auto &c) -> const PerPcVp & { return c->perPcVpStats(); },
+        core_);
+}
+
+std::uint64_t
+OooCore::programLength() const
+{
+    return std::visit([](auto &c) { return c->programLength(); }, core_);
+}
+
+bool
+OooCore::checkSweepInvariants(std::string *why) const
+{
+    return std::visit(
+        [&](auto &c) { return c->checkSweepInvariants(why); }, core_);
 }
 
 } // namespace vsim::core

@@ -19,6 +19,11 @@
  * window slots) of the predictions it transitively depends on — see
  * window_types.hh.
  *
+ * The masks are as wide as the window needs: BasicOooCore<Bits> is
+ * the core at one mask width, built for 128, 256 and 512 bits, and
+ * OooCore runs each job on the narrowest width that holds its window
+ * (maskBitsFor). Every width gives byte-identical results.
+ *
  * The core is layered (see DESIGN.md):
  *
  *   frontend   fetch/dispatch stages            (ooo_frontend.cc)
@@ -51,6 +56,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <variant>
 #include <vector>
 
 #include "core_config.hh"
@@ -97,11 +103,15 @@ struct SimOutcome
 using PredictionOverride = std::function<std::optional<std::uint64_t>(
     std::uint64_t pc, std::uint64_t correct_value)>;
 
+/** Per-PC value-prediction outcome counts: (eligible, correct). */
+using PerPcVp =
+    std::map<std::uint64_t, std::pair<std::uint64_t, std::uint64_t>>;
+
 /**
  * One in-flight store as load disambiguation sees it in a cycle: the
  * fields of its RsEntry that the ordering rule, the forwarding test
  * and the byte merge read, packed so a load's pass streams a compact
- * array instead of the window's ~450-byte entries.
+ * array instead of the window's wide entries.
  */
 struct StoreView
 {
@@ -114,38 +124,27 @@ struct StoreView
     bool dataUsable; //!< data present under the resolution rule
 };
 
-class OooCore : private SpecHooks
+/**
+ * The core with every dependence mask Bits wide; the window may hold
+ * at most Bits entries. OooCore below is the public face: it picks
+ * the width per job. Tests build a width directly to compare widths.
+ */
+template <std::size_t Bits>
+class BasicOooCore : private SpecHooks<Bits>
 {
   public:
     /**
-     * Build a core for @p prog. The constructor runs the functional
-     * pre-execution to obtain the oracle trace.
+     * Build a core for @p prog replaying the pre-executed dynamic
+     * trace @p recorded, shared so N shard cores replaying the same
+     * trace share one instance.
      */
-    OooCore(const assembler::Program &prog, const CoreConfig &config);
+    BasicOooCore(const assembler::Program &prog,
+                 std::shared_ptr<const arch::ExecTrace> recorded,
+                 const CoreConfig &config);
+    ~BasicOooCore() override;
 
-    /**
-     * Replay constructor: build a core for @p prog with an already
-     * recorded dynamic trace (e.g. loaded from a .vst file) instead of
-     * re-running the functional pre-execution. The correct path is
-     * decode-free — it comes straight from @p recorded — while
-     * wrong-path fetch still decodes from @p prog's image, so replay
-     * is digest-identical to direct simulation of the same program.
-     */
-    OooCore(const assembler::Program &prog, arch::ExecTrace recorded,
-            const CoreConfig &config);
-
-    /**
-     * Shared-trace replay constructor: like the replay constructor but
-     * borrowing @p recorded instead of owning a copy, so N shard cores
-     * replaying the same multi-gigabyte trace share one instance.
-     */
-    OooCore(const assembler::Program &prog,
-            std::shared_ptr<const arch::ExecTrace> recorded,
-            const CoreConfig &config);
-    ~OooCore() override;
-
-    OooCore(const OooCore &) = delete;
-    OooCore &operator=(const OooCore &) = delete;
+    BasicOooCore(const BasicOooCore &) = delete;
+    BasicOooCore &operator=(const BasicOooCore &) = delete;
 
     /** Replace predictor output for matching PCs (Fig. 1 harness). */
     void setPredictionOverride(PredictionOverride override_fn);
@@ -187,9 +186,6 @@ class OooCore : private SpecHooks
     const PipelineTracer &tracer() const { return tracer_; }
     std::uint64_t now() const { return cycle; }
 
-    /** Per-PC value-prediction outcome counts: (eligible, correct). */
-    using PerPcVp =
-        std::map<std::uint64_t, std::pair<std::uint64_t, std::uint64_t>>;
     const PerPcVp &perPcVpStats() const { return perPcVp; }
 
     /** Dynamic instruction count of the program (pre-execution). */
@@ -219,8 +215,12 @@ class OooCore : private SpecHooks
     int allocSlot();
     void freeSlot(int slot);
     int windowCount() const { return liveEntries; }
-    RsEntry &entry(int slot) { return window[static_cast<std::size_t>(slot)]; }
-    const RsEntry &
+    RsEntry<Bits> &
+    entry(int slot)
+    {
+        return window[static_cast<std::size_t>(slot)];
+    }
+    const RsEntry<Bits> &
     entry(int slot) const
     {
         return window[static_cast<std::size_t>(slot)];
@@ -234,7 +234,7 @@ class OooCore : private SpecHooks
     {
         return windowCold[static_cast<std::size_t>(slot)];
     }
-    WindowRef
+    WindowRef<Bits>
     windowRef()
     {
         return {window, windowOrder,
@@ -247,16 +247,16 @@ class OooCore : private SpecHooks
     void squashAfter(std::uint64_t seq, std::uint64_t new_fetch_pc,
                      std::int64_t resume_trace_idx);
     void rebuildRegTags();
-    void nullify(RsEntry &e);
-    void noteOutputValid(RsEntry &e, bool via_event);
-    void resolvePrediction(RsEntry &p, bool verified);
+    void nullify(RsEntry<Bits> &e);
+    void noteOutputValid(RsEntry<Bits> &e, bool via_event);
+    void resolvePrediction(RsEntry<Bits> &p, bool verified);
 
     // ---- frontend helpers (ooo_frontend.cc) ----------------------------
-    void captureOperand(RsEntry &e, int idx, int reg);
-    void predictValueAt(RsEntry &e);
+    void captureOperand(RsEntry<Bits> &e, int idx, int reg);
+    void predictValueAt(RsEntry<Bits> &e);
 
     // ---- backend helpers (ooo_issue.cc / ooo_commit.cc) -----------------
-    bool canIssue(const RsEntry &e) const;
+    bool canIssue(const RsEntry<Bits> &e) const;
     WakeClass classifyWakeup(int slot) const;
 
     /** What one disambiguation pass found for a load. */
@@ -278,25 +278,26 @@ class OooCore : private SpecHooks
      * @p mem_deps collects the load's memory-carried dependences
      * (speculative memory resolution, at issue).
      */
-    LoadCheck disambiguate(const RsEntry &e, std::uint64_t addr,
-                           SpecMask *mem_deps = nullptr);
+    LoadCheck disambiguate(const RsEntry<Bits> &e, std::uint64_t addr,
+                           SpecMask<Bits> *mem_deps = nullptr);
     /** Memory ops may resolve with speculative operands (§3.2). */
     bool specMemResolution() const
     {
         return cfg.useValuePrediction && !model.memNeedsValidOps;
     }
-    void issueEntry(RsEntry &e);
-    void broadcast(RsEntry &producer);
-    void doEqCheck(RsEntry &e);
+    void issueEntry(RsEntry<Bits> &e);
+    void broadcast(RsEntry<Bits> &producer);
+    void doEqCheck(RsEntry<Bits> &e);
     bool retireOne();
 
     // ---- SpecHooks: mutations raised by the policy sweeps ---------------
-    void outputBecameValid(RsEntry &e) override;
-    void nullifyEntry(RsEntry &e) override;
-    void completeSquash(RsEntry &p) override;
-    void wakeupChanged(RsEntry &e) override;
-    void operandInvalidated(RsEntry &e, int idx) override;
-    void attributeSweep(const RsEntry &p, const RsEntry &consumer,
+    void outputBecameValid(RsEntry<Bits> &e) override;
+    void nullifyEntry(RsEntry<Bits> &e) override;
+    void completeSquash(RsEntry<Bits> &p) override;
+    void wakeupChanged(RsEntry<Bits> &e) override;
+    void operandInvalidated(RsEntry<Bits> &e, int idx) override;
+    void attributeSweep(const RsEntry<Bits> &p,
+                        const RsEntry<Bits> &consumer,
                         bool invalidation) override;
 
     // ---- wakeup-scheduler bookkeeping ------------------------------------
@@ -323,11 +324,12 @@ class OooCore : private SpecHooks
 
     // ---- speculation-ledger bookkeeping ----------------------------------
     /** A consumer captured @p producer's still-unresolved prediction. */
-    void notePredConsumed(const RsEntry &producer);
+    void notePredConsumed(const RsEntry<Bits> &producer);
     /** Record the prediction dispatched on @p e (cfg.specLedger only). */
-    void ledgerPredictionMade(const RsEntry &e);
+    void ledgerPredictionMade(const RsEntry<Bits> &e);
     /** Terminal state for the prediction on slot @p p. */
-    void ledgerResolved(const RsEntry &p, obs::LedgerOutcome outcome);
+    void ledgerResolved(const RsEntry<Bits> &p,
+                        obs::LedgerOutcome outcome);
 
     // ---- configuration / substrate --------------------------------------
     CoreConfig cfg;
@@ -360,7 +362,7 @@ class OooCore : private SpecHooks
     bool halted = false;
     std::uint64_t exitCode = 0;
 
-    std::vector<RsEntry> window; //!< physical slots (hot SoA half)
+    std::vector<RsEntry<Bits>> window; //!< physical slots (hot SoA half)
     /**
      * Cold SoA half of the window, parallel to `window` by slot: the
      * once-per-instruction bookkeeping (pc, branch/value-prediction
@@ -379,7 +381,7 @@ class OooCore : private SpecHooks
      * meaningful in differential runs); consulted only when
      * cfg.sweepKind == SweepKind::Sparse.
      */
-    SubscriberIndex subsIndex;
+    SubscriberIndex<Bits> subsIndex;
 
     std::array<int, isa::kNumRegs> regTag; //!< youngest producer slot
 
@@ -520,6 +522,67 @@ class OooCore : private SpecHooks
     };
     IntervalCursor ivCursor;
     obs::IntervalSeries intervals_;
+};
+
+
+/**
+ * The out-of-order core. Each job runs on the BasicOooCore whose mask
+ * width maskBitsFor(cfg.windowSize) picks; every call forwards to it.
+ */
+class OooCore
+{
+  public:
+    /**
+     * Build a core for @p prog. The constructor runs the functional
+     * pre-execution to obtain the oracle trace.
+     */
+    OooCore(const assembler::Program &prog, const CoreConfig &config);
+
+    /**
+     * Replay constructor: build a core for @p prog with an already
+     * recorded dynamic trace (e.g. loaded from a .vst file) instead of
+     * re-running the functional pre-execution. The correct path is
+     * decode-free — it comes straight from @p recorded — while
+     * wrong-path fetch still decodes from @p prog's image, so replay
+     * is digest-identical to direct simulation of the same program.
+     */
+    OooCore(const assembler::Program &prog, arch::ExecTrace recorded,
+            const CoreConfig &config);
+
+    /**
+     * Shared-trace replay constructor: like the replay constructor but
+     * borrowing @p recorded instead of owning a copy, so N shard cores
+     * replaying the same multi-gigabyte trace share one instance.
+     */
+    OooCore(const assembler::Program &prog,
+            std::shared_ptr<const arch::ExecTrace> recorded,
+            const CoreConfig &config);
+    ~OooCore();
+
+    OooCore(const OooCore &) = delete;
+    OooCore &operator=(const OooCore &) = delete;
+
+    /** See BasicOooCore for each call. */
+    void setPredictionOverride(PredictionOverride override_fn);
+    void startFromSnapshot(const SimSnapshot &snap);
+    void setRunWindow(std::uint64_t stats_from_retired,
+                      std::uint64_t stop_after_retired);
+    std::uint64_t statsCutCycle() const;
+    SimOutcome run();
+    bool tick();
+    const CoreStats &stats() const;
+    const PipelineTracer &tracer() const;
+    std::uint64_t now() const;
+    const PerPcVp &perPcVpStats() const;
+    std::uint64_t programLength() const;
+    bool checkSweepInvariants(std::string *why = nullptr) const;
+
+  private:
+    /** The core at the width maskBitsFor picked. */
+    std::variant<std::unique_ptr<BasicOooCore<128>>,
+                 std::unique_ptr<BasicOooCore<256>>,
+                 std::unique_ptr<BasicOooCore<512>>>
+        core_;
 };
 
 } // namespace vsim::core

@@ -31,8 +31,9 @@ vpEligibleInst(const isa::Inst &inst)
 // fetch
 // =====================================================================
 
+template <std::size_t Bits>
 void
-OooCore::fetchStage()
+BasicOooCore<Bits>::fetchStage()
 {
     if (halted || fetchSawHalt || cycle < fetchResumeAt)
         return;
@@ -152,11 +153,12 @@ OooCore::fetchStage()
 // dispatch
 // =====================================================================
 
+template <std::size_t Bits>
 void
-OooCore::captureOperand(RsEntry &e, int idx, int reg)
+BasicOooCore<Bits>::captureOperand(RsEntry<Bits> &e, int idx, int reg)
 {
-    Operand &o = e.src[idx];
-    o = Operand{};
+    Operand<Bits> &o = e.src[idx];
+    o = Operand<Bits>{};
     if (reg < 0) {
         o.state = OperandState::Unused;
         return;
@@ -172,7 +174,7 @@ OooCore::captureOperand(RsEntry &e, int idx, int reg)
         return;
     }
 
-    RsEntry &p = entry(t);
+    RsEntry<Bits> &p = entry(t);
     o.tag = t;
     if (p.predicted && !p.predResolved) {
         // The prediction stands in for the producer's result until the
@@ -199,8 +201,9 @@ OooCore::captureOperand(RsEntry &e, int idx, int reg)
     }
 }
 
+template <std::size_t Bits>
 void
-OooCore::predictValueAt(RsEntry &e)
+BasicOooCore<Bits>::predictValueAt(RsEntry<Bits> &e)
 {
     if (!cfg.useValuePrediction || !vpEligibleInst(e.inst))
         return;
@@ -260,8 +263,9 @@ OooCore::predictValueAt(RsEntry &e)
     }
 }
 
+template <std::size_t Bits>
 void
-OooCore::dispatchStage()
+BasicOooCore<Bits>::dispatchStage()
 {
     if (halted)
         return;
@@ -272,7 +276,7 @@ OooCore::dispatchStage()
             return;
 
         const int slot = allocSlot();
-        RsEntry &e = entry(slot);
+        RsEntry<Bits> &e = entry(slot);
         RsCold &c = cold(slot);
         e.slot = slot;
         e.seq = nextSeq++;
@@ -311,5 +315,16 @@ OooCore::dispatchStage()
         ++stats_.dispatched;
     }
 }
+
+// This file's members at every mask width (the class and the members
+// defined in ooo_core.cc are instantiated there).
+#define VSIM_INSTANTIATE(Bits)                                            \
+    template void BasicOooCore<Bits>::fetchStage();                       \
+    template void BasicOooCore<Bits>::captureOperand(RsEntry<Bits> &, int, \
+                                                     int);                \
+    template void BasicOooCore<Bits>::predictValueAt(RsEntry<Bits> &);    \
+    template void BasicOooCore<Bits>::dispatchStage();
+VSIM_FOR_EACH_MASK_WIDTH(VSIM_INSTANTIATE)
+#undef VSIM_INSTANTIATE
 
 } // namespace vsim::core

@@ -85,8 +85,9 @@ coverMask(const StoreView &s, std::uint64_t addr, int size,
 
 } // namespace
 
+template <std::size_t Bits>
 const std::vector<StoreView> &
-OooCore::storeTable()
+BasicOooCore<Bits>::storeTable()
 {
     if (storesCycle == cycle)
         return stores;
@@ -94,14 +95,14 @@ OooCore::storeTable()
     stores.clear();
     const bool spec = specMemResolution();
     for (int slot : lsq) {
-        const RsEntry &s = entry(slot);
+        const RsEntry<Bits> &s = entry(slot);
         if (!s.inst.isStore())
             continue;
         // Under valid-ops memory resolution the data must be *valid*;
         // with speculative resolution (memNeedsValidOps=false) a
         // predicted or speculative value forwards as-is and the load
         // carries the store's dependence bits in memDeps instead.
-        const Operand &data = s.src[0];
+        const Operand<Bits> &data = s.src[0];
         stores.push_back(
             {s.seq, s.memAddr, data.value, slot,
              static_cast<std::uint8_t>(s.inst.memSize()),
@@ -113,9 +114,11 @@ OooCore::storeTable()
     return stores;
 }
 
-OooCore::LoadCheck
-OooCore::disambiguate(const RsEntry &e, std::uint64_t addr,
-                      SpecMask *mem_deps)
+template <std::size_t Bits>
+typename BasicOooCore<Bits>::LoadCheck
+BasicOooCore<Bits>::disambiguate(const RsEntry<Bits> &e,
+                                 std::uint64_t addr,
+                                 SpecMask<Bits> *mem_deps)
 {
     // Loads execute only once every preceding store address is known
     // (§2.1); bytes covered by an older store additionally need the
@@ -153,7 +156,7 @@ OooCore::disambiguate(const RsEntry &e, std::uint64_t addr,
         r.forwarded = (r.forwarded & ~mask) | (placed & mask);
         r.covered |= mask;
         if (mem_deps) {
-            const RsEntry &st = entry(s.slot);
+            const RsEntry<Bits> &st = entry(s.slot);
             if (st.src[1].used())
                 *mem_deps |= st.src[1].deps;
             if (overlap && st.src[0].used())
@@ -163,14 +166,15 @@ OooCore::disambiguate(const RsEntry &e, std::uint64_t addr,
     return r;
 }
 
+template <std::size_t Bits>
 bool
-OooCore::canIssue(const RsEntry &e) const
+BasicOooCore<Bits>::canIssue(const RsEntry<Bits> &e) const
 {
     if (!e.busy || e.issued || cycle <= e.dispatchAt
         || cycle < e.reissueAt) {
         return false;
     }
-    for (const Operand &o : e.src) {
+    for (const Operand<Bits> &o : e.src) {
         if (!o.used())
             continue;
         if (!o.hasValue() || o.readyAt > cycle)
@@ -182,7 +186,7 @@ OooCore::canIssue(const RsEntry &e) const
             ? model.branchNeedsValidOps || !cfg.useValuePrediction
             : false;
     if (needs_valid) {
-        for (const Operand &o : e.src) {
+        for (const Operand<Bits> &o : e.src) {
             if (!o.used())
                 continue;
             if (o.state != OperandState::Valid)
@@ -198,7 +202,8 @@ OooCore::canIssue(const RsEntry &e) const
     if (e.inst.isMem() && (model.memNeedsValidOps
                            || !cfg.useValuePrediction)) {
         // Address operand: loads use src[0], stores src[1].
-        const Operand &base = e.inst.isLoad() ? e.src[0] : e.src[1];
+        const Operand<Bits> &base =
+            e.inst.isLoad() ? e.src[0] : e.src[1];
         if (base.used()) {
             if (base.state != OperandState::Valid)
                 return false;
@@ -220,15 +225,16 @@ OooCore::canIssue(const RsEntry &e) const
  * gates) — giving a Timed verdict at the max of the thresholds — or
  * requires another event to change operand state, giving Parked.
  */
+template <std::size_t Bits>
 WakeClass
-OooCore::classifyWakeup(int slot) const
+BasicOooCore<Bits>::classifyWakeup(int slot) const
 {
-    const RsEntry &e = entry(slot);
+    const RsEntry<Bits> &e = entry(slot);
     if (!e.busy || e.issued)
         return WakeClass::idle();
 
     std::uint64_t at = std::max(e.dispatchAt + 1, e.reissueAt);
-    for (const Operand &o : e.src) {
+    for (const Operand<Bits> &o : e.src) {
         if (!o.used())
             continue;
         if (!o.hasValue())
@@ -241,7 +247,7 @@ OooCore::classifyWakeup(int slot) const
             ? model.branchNeedsValidOps || !cfg.useValuePrediction
             : false;
     if (needs_valid) {
-        for (const Operand &o : e.src) {
+        for (const Operand<Bits> &o : e.src) {
             if (!o.used())
                 continue;
             if (o.state != OperandState::Valid)
@@ -256,7 +262,8 @@ OooCore::classifyWakeup(int slot) const
 
     if (e.inst.isMem() && (model.memNeedsValidOps
                            || !cfg.useValuePrediction)) {
-        const Operand &base = e.inst.isLoad() ? e.src[0] : e.src[1];
+        const Operand<Bits> &base =
+            e.inst.isLoad() ? e.src[0] : e.src[1];
         if (base.used()) {
             if (base.state != OperandState::Valid)
                 return WakeClass::parked();
@@ -270,8 +277,9 @@ OooCore::classifyWakeup(int slot) const
     return at <= cycle ? WakeClass::ready() : WakeClass::timed(at);
 }
 
+template <std::size_t Bits>
 void
-OooCore::issueEntry(RsEntry &e)
+BasicOooCore<Bits>::issueEntry(RsEntry<Bits> &e)
 {
     // Gather register-role values from the operand slots (the operand
     // order mirrors Inst::srcReg1/srcReg2).
@@ -366,8 +374,9 @@ OooCore::issueEntry(RsEntry &e)
     }
 }
 
+template <std::size_t Bits>
 void
-OooCore::issueStage()
+BasicOooCore<Bits>::issueStage()
 {
     if (halted)
         return;
@@ -383,9 +392,9 @@ OooCore::issueStage()
     cands.reserve(static_cast<std::size_t>(liveEntries));
 
     const auto addCandidate = [&](int slot) {
-        const RsEntry &e = entry(slot);
+        const RsEntry<Bits> &e = entry(slot);
         bool spec = false;
-        for (const Operand &o : e.src) {
+        for (const Operand<Bits> &o : e.src) {
             if (o.used() && o.state != OperandState::Valid)
                 spec = true;
         }
@@ -423,7 +432,7 @@ OooCore::issueStage()
     for (const Candidate &cand : cands) {
         if (issued >= cfg.issueWidth)
             break;
-        RsEntry &e = entry(cand.slot);
+        RsEntry<Bits> &e = entry(cand.slot);
         if (e.inst.isLoad()) {
             // Effective address needed for the ordering check; compute
             // it from the base operand (cheap, pure).
@@ -441,5 +450,21 @@ OooCore::issueStage()
         ++issued;
     }
 }
+
+// This file's members at every mask width (the class and the members
+// defined in ooo_core.cc are instantiated there).
+#define VSIM_INSTANTIATE(Bits)                                            \
+    template const std::vector<StoreView> &                               \
+    BasicOooCore<Bits>::storeTable();                                     \
+    template BasicOooCore<Bits>::LoadCheck                                \
+    BasicOooCore<Bits>::disambiguate(const RsEntry<Bits> &, std::uint64_t, \
+                                     SpecMask<Bits> *);                   \
+    template bool BasicOooCore<Bits>::canIssue(const RsEntry<Bits> &)     \
+        const;                                                            \
+    template WakeClass BasicOooCore<Bits>::classifyWakeup(int) const;     \
+    template void BasicOooCore<Bits>::issueEntry(RsEntry<Bits> &);        \
+    template void BasicOooCore<Bits>::issueStage();
+VSIM_FOR_EACH_MASK_WIDTH(VSIM_INSTANTIATE)
+#undef VSIM_INSTANTIATE
 
 } // namespace vsim::core

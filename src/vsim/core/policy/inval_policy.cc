@@ -6,10 +6,18 @@
 namespace vsim::core
 {
 
+template <std::size_t Bits>
 bool
-InvalidatePolicy::apply(const WindowRef &w, RsEntry &p,
-                        std::uint64_t cycle, SpecHooks &hooks) const
+InvalidatePolicy::apply(const WindowRef<Bits> &w, RsEntry<Bits> &p,
+                        std::uint64_t cycle, SpecHooks<Bits> &hooks) const
 {
+    if (complete()) {
+        // Treat the value misprediction like a branch misprediction:
+        // the squash path does all the work, no consumer is touched.
+        hooks.completeSquash(p);
+        return false;
+    }
+
     const std::size_t pbit = static_cast<std::size_t>(p.slot);
     const bool hier = hierarchical();
     bool any_left = false;
@@ -26,9 +34,9 @@ InvalidatePolicy::apply(const WindowRef &w, RsEntry &p,
     // Snapshot pre-step producer state for the hierarchical wave (see
     // VerifyPolicy::apply: in-place nullification must not let the
     // wave jump levels within one event).
-    SpecMask was_executed, out_had_bit;
+    SpecMask<Bits> was_executed, out_had_bit;
     if (hier) {
-        const auto snap = [&](const RsEntry &f) {
+        const auto snap = [&](const RsEntry<Bits> &f) {
             if (f.executed) {
                 was_executed.set(static_cast<std::size_t>(f.slot));
                 if (f.outDeps.test(pbit))
@@ -36,7 +44,7 @@ InvalidatePolicy::apply(const WindowRef &w, RsEntry &p,
             }
         };
         forEachSweepSlot(w, sparse, [&](int slot) {
-            const RsEntry &f = w.at(slot);
+            const RsEntry<Bits> &f = w.at(slot);
             snap(f);
             if (!sparse)
                 return;
@@ -45,7 +53,7 @@ InvalidatePolicy::apply(const WindowRef &w, RsEntry &p,
             // operand's producer need not itself carry the bit (it
             // may have re-executed with corrected inputs before this
             // step) — snapshot those producers explicitly.
-            for (const Operand &o : f.src) {
+            for (const Operand<Bits> &o : f.src) {
                 if (o.used() && o.deps.test(pbit) && o.tag >= 0)
                     snap(w.at(o.tag));
             }
@@ -53,12 +61,12 @@ InvalidatePolicy::apply(const WindowRef &w, RsEntry &p,
     }
 
     forEachSweepSlot(w, sparse, [&](int slot) {
-        RsEntry &f = w.at(slot);
+        RsEntry<Bits> &f = w.at(slot);
         if (f.slot == p.slot)
             return;
         bool affected = false;
         for (int idx = 0; idx < 2; ++idx) {
-            Operand &o = f.src[idx];
+            Operand<Bits> &o = f.src[idx];
             if (!o.used() || !o.deps.test(pbit))
                 continue;
             if (o.tag == p.slot) {
@@ -83,7 +91,7 @@ InvalidatePolicy::apply(const WindowRef &w, RsEntry &p,
             } else {
                 // Hierarchical wave: react only once the operand's own
                 // producer was dealt with in an *earlier* step.
-                const RsEntry *prod =
+                const RsEntry<Bits> *prod =
                     o.tag >= 0 ? &w.at(o.tag) : nullptr;
                 const std::size_t tbit =
                     static_cast<std::size_t>(o.tag >= 0 ? o.tag : 0);
@@ -142,6 +150,13 @@ InvalidatePolicy::apply(const WindowRef &w, RsEntry &p,
     return hier && any_left;
 }
 
+#define VSIM_INSTANTIATE(Bits)                                            \
+    template bool InvalidatePolicy::apply(const WindowRef<Bits> &,        \
+                                          RsEntry<Bits> &, std::uint64_t, \
+                                          SpecHooks<Bits> &) const;
+VSIM_FOR_EACH_MASK_WIDTH(VSIM_INSTANTIATE)
+#undef VSIM_INSTANTIATE
+
 namespace
 {
 
@@ -166,13 +181,6 @@ class CompleteInval final : public InvalidatePolicy
   public:
     const char *name() const override { return "complete"; }
     bool complete() const override { return true; }
-    bool
-    apply(const WindowRef &, RsEntry &p, std::uint64_t,
-          SpecHooks &hooks) const override
-    {
-        hooks.completeSquash(p);
-        return false;
-    }
 };
 
 } // namespace

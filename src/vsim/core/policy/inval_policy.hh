@@ -11,6 +11,7 @@
 #ifndef VSIM_CORE_POLICY_INVAL_POLICY_HH
 #define VSIM_CORE_POLICY_INVAL_POLICY_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 
@@ -42,9 +43,12 @@ class InvalidatePolicy
      * dependents, and nullify everything that consumed the wrong
      * value. Complete invalidation raises SpecHooks::completeSquash
      * instead. @return true when a hierarchical wave still has work.
+     * Built for every core mask width; the scheme predicates above
+     * steer it.
      */
-    virtual bool apply(const WindowRef &w, RsEntry &p,
-                       std::uint64_t cycle, SpecHooks &hooks) const;
+    template <std::size_t Bits>
+    bool apply(const WindowRef<Bits> &w, RsEntry<Bits> &p,
+               std::uint64_t cycle, SpecHooks<Bits> &hooks) const;
 };
 
 /** Construct the §3.1 scheme selected by @p scheme. */

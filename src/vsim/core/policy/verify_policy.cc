@@ -7,9 +7,10 @@
 namespace vsim::core
 {
 
+template <std::size_t Bits>
 bool
-VerifyPolicy::apply(const WindowRef &w, RsEntry &p, std::uint64_t cycle,
-                    SpecHooks &hooks) const
+VerifyPolicy::apply(const WindowRef<Bits> &w, RsEntry<Bits> &p,
+                    std::uint64_t cycle, SpecHooks<Bits> &hooks) const
 {
     const std::size_t pbit = static_cast<std::size_t>(p.slot);
     const bool hier = hierarchical();
@@ -29,14 +30,14 @@ VerifyPolicy::apply(const WindowRef &w, RsEntry &p, std::uint64_t cycle,
     // so snapshot which outputs and which entries' inputs carried the
     // bit at the start of the step. Sparse domains lose nothing here:
     // both masks are only ever consulted for slots that carry bit p.
-    SpecMask out_had_bit;  //!< slots whose output carried bit p
-    SpecMask in_had_bit;   //!< slots with an input carrying bit p
+    SpecMask<Bits> out_had_bit; //!< slots whose output carried bit p
+    SpecMask<Bits> in_had_bit;  //!< slots with an input carrying bit p
     if (hier) {
         forEachSweepSlot(w, sparse, [&](int slot) {
-            const RsEntry &f = w.at(slot);
+            const RsEntry<Bits> &f = w.at(slot);
             if (f.executed && f.outDeps.test(pbit))
                 out_had_bit.set(static_cast<std::size_t>(slot));
-            for (const Operand &o : f.src) {
+            for (const Operand<Bits> &o : f.src) {
                 if (o.used() && o.deps.test(pbit))
                     in_had_bit.set(static_cast<std::size_t>(slot));
             }
@@ -45,18 +46,18 @@ VerifyPolicy::apply(const WindowRef &w, RsEntry &p, std::uint64_t cycle,
 
     bool any_left = false;
     forEachSweepSlot(w, sparse, [&](int slot) {
-        RsEntry &f = w.at(slot);
+        RsEntry<Bits> &f = w.at(slot);
         if (f.slot == p.slot)
             return;
         bool touched = false; //!< any dependence bit actually cleansed
-        for (Operand &o : f.src) {
+        for (Operand<Bits> &o : f.src) {
             if (!o.used() || !o.deps.test(pbit))
                 continue;
             bool clear = true;
             if (hier && o.tag != p.slot && o.tag >= 0) {
                 // Clears only when the operand's producer's output was
                 // already cleansed before this wave step.
-                const RsEntry &prod = w.at(o.tag);
+                const RsEntry<Bits> &prod = w.at(o.tag);
                 clear = !prod.busy || prod.seq >= f.seq
                         || !prod.executed
                         || !out_had_bit.test(
@@ -109,20 +110,21 @@ VerifyPolicy::apply(const WindowRef &w, RsEntry &p, std::uint64_t cycle,
     return hier && any_left;
 }
 
+template <std::size_t Bits>
 void
-VerifyPolicy::applyRetire(const WindowRef &w, RsEntry &p,
-                          std::uint64_t cycle, SpecHooks &hooks) const
+VerifyPolicy::applyRetire(const WindowRef<Bits> &w, RsEntry<Bits> &p,
+                          std::uint64_t cycle, SpecHooks<Bits> &hooks) const
 {
     const std::size_t pbit = static_cast<std::size_t>(p.slot);
     const std::vector<int> *sparse =
         w.subs ? &w.subs->collect(static_cast<int>(pbit), w.window)
                : nullptr;
     forEachSweepSlot(w, sparse, [&](int slot) {
-        RsEntry &f = w.at(slot);
+        RsEntry<Bits> &f = w.at(slot);
         if (f.slot == p.slot)
             return;
         bool touched = false;
-        for (Operand &o : f.src) {
+        for (Operand<Bits> &o : f.src) {
             if (!o.used() || !mask::testAndClear(o.deps, pbit))
                 continue;
             touched = true;
@@ -146,6 +148,16 @@ VerifyPolicy::applyRetire(const WindowRef &w, RsEntry &p,
             hooks.attributeSweep(p, f, false);
     });
 }
+
+#define VSIM_INSTANTIATE(Bits)                                            \
+    template bool VerifyPolicy::apply(const WindowRef<Bits> &,            \
+                                      RsEntry<Bits> &, std::uint64_t,     \
+                                      SpecHooks<Bits> &) const;           \
+    template void VerifyPolicy::applyRetire(                              \
+        const WindowRef<Bits> &, RsEntry<Bits> &, std::uint64_t,          \
+        SpecHooks<Bits> &) const;
+VSIM_FOR_EACH_MASK_WIDTH(VSIM_INSTANTIATE)
+#undef VSIM_INSTANTIATE
 
 namespace
 {

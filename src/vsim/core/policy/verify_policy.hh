@@ -15,6 +15,7 @@
 #ifndef VSIM_CORE_POLICY_VERIFY_POLICY_HH
 #define VSIM_CORE_POLICY_VERIFY_POLICY_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 
@@ -52,16 +53,20 @@ class VerifyPolicy
      * clear p's dependence bit from consumer operands and outputs.
      * @return true when a hierarchical wave still has work (the
      * caller reschedules the next level through the EventQueue).
+     * Built for every core mask width; the scheme predicates above
+     * steer it.
      */
-    virtual bool apply(const WindowRef &w, RsEntry &p,
-                       std::uint64_t cycle, SpecHooks &hooks) const;
+    template <std::size_t Bits>
+    bool apply(const WindowRef<Bits> &w, RsEntry<Bits> &p,
+               std::uint64_t cycle, SpecHooks<Bits> &hooks) const;
 
     /**
      * Retirement broadcast of producer @p p (retirement-based and
      * hybrid schemes): validate every remaining dependent at once.
      */
-    void applyRetire(const WindowRef &w, RsEntry &p,
-                     std::uint64_t cycle, SpecHooks &hooks) const;
+    template <std::size_t Bits>
+    void applyRetire(const WindowRef<Bits> &w, RsEntry<Bits> &p,
+                     std::uint64_t cycle, SpecHooks<Bits> &hooks) const;
 };
 
 /** Construct the §3.2 scheme selected by @p scheme. */

@@ -41,6 +41,7 @@
 namespace vsim::core
 {
 
+template <std::size_t Bits>
 class SubscriberIndex
 {
   public:
@@ -48,14 +49,15 @@ class SubscriberIndex
     reset(int nslots)
     {
         subs_.assign(static_cast<std::size_t>(nslots), {});
-        subscribed_.assign(static_cast<std::size_t>(nslots), SpecMask{});
+        subscribed_.assign(static_cast<std::size_t>(nslots),
+                           SpecMask<Bits>{});
         scratch_.clear();
         scratch_.reserve(static_cast<std::size_t>(nslots));
     }
 
     /** Does @p e carry bit @p pbit in any dependence mask? */
     static bool
-    carries(const RsEntry &e, std::size_t pbit)
+    carries(const RsEntry<Bits> &e, std::size_t pbit)
     {
         return e.src[0].deps.test(pbit) || e.src[1].deps.test(pbit)
                || e.outDeps.test(pbit) || e.memDeps.test(pbit);
@@ -63,10 +65,10 @@ class SubscriberIndex
 
     /** @p slot's masks gained (at most) the bits of @p gained. */
     void
-    note(int slot, const SpecMask &gained)
+    note(int slot, const SpecMask<Bits> &gained)
     {
         const std::size_t s = static_cast<std::size_t>(slot);
-        const SpecMask fresh = gained & ~subscribed_[s];
+        const SpecMask<Bits> fresh = gained & ~subscribed_[s];
         if (fresh.none())
             return;
         subscribed_[s] |= fresh;
@@ -77,11 +79,11 @@ class SubscriberIndex
 
     /** note() over the union of all of @p e's dependence masks. */
     void
-    noteEntry(const RsEntry &e)
+    noteEntry(const RsEntry<Bits> &e)
     {
         if (!e.busy) // a free slot holds no live masks (slot may be -1)
             return;
-        SpecMask m = e.src[0].deps;
+        SpecMask<Bits> m = e.src[0].deps;
         m |= e.src[1].deps;
         m |= e.outDeps;
         m |= e.memDeps;
@@ -95,13 +97,14 @@ class SubscriberIndex
      * collect()/anyOtherCarrier() call.
      */
     const std::vector<int> &
-    collect(int pbit, const std::vector<RsEntry> &window)
+    collect(int pbit, const std::vector<RsEntry<Bits>> &window)
     {
         auto &list = subs_[static_cast<std::size_t>(pbit)];
         scratch_.clear();
         for (std::size_t i = 0; i < list.size();) {
             const int slot = list[i];
-            const RsEntry &e = window[static_cast<std::size_t>(slot)];
+            const RsEntry<Bits> &e =
+                window[static_cast<std::size_t>(slot)];
             if (e.busy && carries(e, static_cast<std::size_t>(pbit))) {
                 scratch_.push_back(slot);
                 ++i;
@@ -125,13 +128,14 @@ class SubscriberIndex
      * still carry bit @p pbit? Prunes stale subscriptions it passes.
      */
     bool
-    anyOtherCarrier(int pbit, const std::vector<RsEntry> &window,
+    anyOtherCarrier(int pbit, const std::vector<RsEntry<Bits>> &window,
                     int self)
     {
         auto &list = subs_[static_cast<std::size_t>(pbit)];
         for (std::size_t i = 0; i < list.size();) {
             const int slot = list[i];
-            const RsEntry &e = window[static_cast<std::size_t>(slot)];
+            const RsEntry<Bits> &e =
+                window[static_cast<std::size_t>(slot)];
             if (e.busy && carries(e, static_cast<std::size_t>(pbit))) {
                 if (slot != self)
                     return true;
@@ -158,7 +162,7 @@ class SubscriberIndex
      * (with an explanation in @p why, if given) on the first breach.
      */
     bool
-    checkInvariants(const std::vector<RsEntry> &window,
+    checkInvariants(const std::vector<RsEntry<Bits>> &window,
                     std::string *why = nullptr) const
     {
         const auto fail = [&](const std::string &msg) {
@@ -186,14 +190,14 @@ class SubscriberIndex
         }
         // (B) every set dependence bit of a busy entry is subscribed.
         for (std::size_t s = 0; s < nslots; ++s) {
-            const RsEntry &e = window[s];
+            const RsEntry<Bits> &e = window[s];
             if (!e.busy)
                 continue;
-            SpecMask m = e.src[0].deps;
+            SpecMask<Bits> m = e.src[0].deps;
             m |= e.src[1].deps;
             m |= e.outDeps;
             m |= e.memDeps;
-            const SpecMask missing = m & ~subscribed_[s];
+            const SpecMask<Bits> missing = m & ~subscribed_[s];
             if (missing.any()) {
                 return fail("busy slot " + std::to_string(s)
                             + " carries bit "
@@ -206,7 +210,7 @@ class SubscriberIndex
 
   private:
     std::vector<std::vector<int>> subs_; //!< per prediction bit
-    std::vector<SpecMask> subscribed_;   //!< per slot: bits in subs_
+    std::vector<SpecMask<Bits>> subscribed_; //!< per slot: bits in subs_
     std::vector<int> scratch_;           //!< collect() output storage
 };
 
@@ -215,9 +219,9 @@ class SubscriberIndex
  * the core runs sparse sweeps, the full program-order window
  * otherwise.
  */
-template <typename Fn>
+template <std::size_t Bits, typename Fn>
 inline void
-forEachSweepSlot(const WindowRef &w, const std::vector<int> *sparse,
+forEachSweepSlot(const WindowRef<Bits> &w, const std::vector<int> *sparse,
                  Fn &&fn)
 {
     if (sparse) {

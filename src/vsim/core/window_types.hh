@@ -8,12 +8,18 @@
  * them in one header so the frontend/backend stage files, the policy
  * objects under policy/, the event queue and the wakeup scheduler all
  * operate on the same structures without friending each other.
+ *
+ * Every type that holds a dependence mask is a template on the mask
+ * width Bits. The core is built once per width (128, 256, 512) and a
+ * run uses the narrowest one that holds its window (maskBitsFor), so
+ * the paper's 24-96 entry windows scan 2-word masks, not 8-word ones.
  */
 
 #ifndef VSIM_CORE_WINDOW_TYPES_HH
 #define VSIM_CORE_WINDOW_TYPES_HH
 
 #include <bitset>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -24,16 +30,37 @@ namespace vsim::core
 {
 
 /**
- * Upper bound on the instruction window. Sized for the CVP-style
- * trace-replay configuration (512-entry window); everything that
- * scales with it — SpecMask, mask_ops, SlotRing, SubscriberIndex —
- * is sized off CoreConfig::windowSize or the bitset width, so runs
- * with smaller windows are unaffected by the headroom.
+ * Upper bound on the instruction window, sized for the CVP-style
+ * trace-replay configuration (512-entry window). It bounds the widest
+ * mask the core is built for, not the mask a run uses: SlotRing and
+ * the per-slot tables are sized off CoreConfig::windowSize, and the
+ * dependence masks off maskBitsFor(windowSize).
  */
 constexpr int kMaxWindow = 512;
 
+/**
+ * Expands @p X(Bits) once per mask width the core is built for,
+ * narrowest first: the explicit instantiations of the mask-carrying
+ * templates go through this one list.
+ */
+#define VSIM_FOR_EACH_MASK_WIDTH(X) X(128) X(256) X(512)
+
+/**
+ * The mask width a @p window_size-entry window runs on: the narrowest
+ * of the built widths that holds a bit per window slot. The choice
+ * follows from the window size alone.
+ */
+constexpr std::size_t
+maskBitsFor(int window_size)
+{
+    return window_size <= 128 ? 128 : window_size <= 256 ? 256 : 512;
+}
+static_assert(maskBitsFor(kMaxWindow) == kMaxWindow,
+              "the widest mask must hold the largest window");
+
 /** Set of unresolved predictions a value transitively depends on. */
-using SpecMask = std::bitset<kMaxWindow>;
+template <std::size_t Bits>
+using SpecMask = std::bitset<Bits>;
 
 /** State of a reservation-station input operand (§2.2). */
 enum class OperandState : std::uint8_t
@@ -45,13 +72,14 @@ enum class OperandState : std::uint8_t
     Valid,       //!< architecturally correct
 };
 
+template <std::size_t Bits>
 struct Operand
 {
     OperandState state = OperandState::Unused;
     int reg = -1;
     int tag = -1;            //!< producing slot; -1 = register file
     std::uint64_t value = 0;
-    SpecMask deps;
+    SpecMask<Bits> deps;
     std::uint64_t readyAt = 0;  //!< cycle the value can be consumed
     std::uint64_t validAt = 0;  //!< cycle state became Valid
     bool validViaEvent = false; //!< validity arrived via the network
@@ -93,6 +121,7 @@ struct RsCold
     bool outValidViaEvent = false;
 };
 
+template <std::size_t Bits>
 struct RsEntry
 {
     bool busy = false;
@@ -102,7 +131,7 @@ struct RsEntry
     isa::Inst inst;
     std::int64_t traceIndex = -1; //!< -1 on the wrong path
 
-    Operand src[2];
+    Operand<Bits> src[2];
 
     bool issued = false;
     bool executed = false;
@@ -110,7 +139,7 @@ struct RsEntry
     std::uint64_t reissueAt = 0; //!< earliest re-select after nullify
 
     std::uint64_t outValue = 0;
-    SpecMask outDeps;
+    SpecMask<Bits> outDeps;
     bool outValid = false;
 
     // value prediction bookkeeping
@@ -135,7 +164,7 @@ struct RsEntry
      * the load for reissue). Always empty when memory resolution
      * requires valid operands.
      */
-    SpecMask memDeps;
+    SpecMask<Bits> memDeps;
 
     // retire gating
     std::uint64_t verifiedAt = 0;
@@ -152,6 +181,7 @@ struct Completion
     std::uint64_t nextPc;  //!< branch target / next pc
 };
 
+template <std::size_t Bits>
 class SubscriberIndex;
 
 /**
@@ -164,14 +194,15 @@ class SubscriberIndex;
  * RsEntry) rides along for completeness; the shipped policies never
  * touch it, so fakes may leave it null.
  */
+template <std::size_t Bits>
 struct WindowRef
 {
-    std::vector<RsEntry> &window;
+    std::vector<RsEntry<Bits>> &window;
     const SlotRing &order;
-    SubscriberIndex *subs = nullptr;
+    SubscriberIndex<Bits> *subs = nullptr;
     std::vector<RsCold> *cold = nullptr;
 
-    RsEntry &at(int slot) const
+    RsEntry<Bits> &at(int slot) const
     {
         return window[static_cast<std::size_t>(slot)];
     }
@@ -189,33 +220,34 @@ struct WindowRef
  * through this interface, which keeps the policies unit-testable
  * against a trivial fake.
  */
+template <std::size_t Bits>
 class SpecHooks
 {
   public:
     virtual ~SpecHooks() = default;
 
     /** @p e's output lost its last dependence bit via the network. */
-    virtual void outputBecameValid(RsEntry &e) = 0;
+    virtual void outputBecameValid(RsEntry<Bits> &e) = 0;
 
     /** Wakeup nullification (§3.4) of a mis-speculated consumer. */
-    virtual void nullifyEntry(RsEntry &e) = 0;
+    virtual void nullifyEntry(RsEntry<Bits> &e) = 0;
 
     /** Complete invalidation: squash everything younger than @p p. */
-    virtual void completeSquash(RsEntry &p) = 0;
+    virtual void completeSquash(RsEntry<Bits> &p) = 0;
 
     /**
      * @p e's operands changed in a way that can affect its wakeup
      * (value arrived, state promoted/demoted); the issue scheduler
      * must re-evaluate it.
      */
-    virtual void wakeupChanged(RsEntry &e) = 0;
+    virtual void wakeupChanged(RsEntry<Bits> &e) = 0;
 
     /**
      * Operand @p idx of @p e was reset to Invalid and now waits on the
      * result bus again (the core re-registers it with the broadcast
      * waiter lists on top of wakeupChanged).
      */
-    virtual void operandInvalidated(RsEntry &e, int idx) = 0;
+    virtual void operandInvalidated(RsEntry<Bits> &e, int idx) = 0;
 
     /**
      * Cycle attribution: the sweep resolving prediction @p p acted on
@@ -226,7 +258,8 @@ class SpecHooks
      * scan merely visited, so sparse and dense sweeps attribute
      * identically. Default no-op keeps policy unit-test fakes simple.
      */
-    virtual void attributeSweep(const RsEntry &p, const RsEntry &consumer,
+    virtual void attributeSweep(const RsEntry<Bits> &p,
+                                const RsEntry<Bits> &consumer,
                                 bool invalidation)
     {
         (void)p;

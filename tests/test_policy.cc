@@ -8,17 +8,26 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "vsim/core/mask_ops.hh"
 #include "vsim/core/policy/policies.hh"
 #include "vsim/core/slot_ring.hh"
 #include "vsim/core/subscriber_index.hh"
+#include "mask_width.hh"
 
 namespace
 {
 
 using namespace vsim::core;
+using vsim::testutil::forEachMaskWidth;
+
+/**
+ * Mask width of the synthetic windows. The sweeps are one template at
+ * every width; the mask operations below run at all of them.
+ */
+constexpr std::size_t kBits = 128;
 
 // =====================================================================
 // selection (§3.5)
@@ -85,7 +94,7 @@ TEST(SelectPolicyTest, TypedSpecFirstPrefersSpeculative)
 // =====================================================================
 
 /** Records every hook the sweeps raise, mutating nothing. */
-struct RecordingHooks final : SpecHooks
+struct RecordingHooks final : SpecHooks<kBits>
 {
     std::vector<int> outputValid;  //!< slots via outputBecameValid
     std::vector<int> nullified;    //!< slots via nullifyEntry
@@ -93,23 +102,23 @@ struct RecordingHooks final : SpecHooks
     std::vector<int> wakeups;      //!< slots via wakeupChanged
     std::vector<std::pair<int, int>> invalidated; //!< (slot, operand)
 
-    void outputBecameValid(RsEntry &e) override
+    void outputBecameValid(RsEntry<kBits> &e) override
     {
         outputValid.push_back(e.slot);
     }
-    void nullifyEntry(RsEntry &e) override
+    void nullifyEntry(RsEntry<kBits> &e) override
     {
         nullified.push_back(e.slot);
     }
-    void completeSquash(RsEntry &p) override
+    void completeSquash(RsEntry<kBits> &p) override
     {
         squashed.push_back(p.slot);
     }
-    void wakeupChanged(RsEntry &e) override
+    void wakeupChanged(RsEntry<kBits> &e) override
     {
         wakeups.push_back(e.slot);
     }
-    void operandInvalidated(RsEntry &e, int idx) override
+    void operandInvalidated(RsEntry<kBits> &e, int idx) override
     {
         invalidated.push_back({e.slot, idx});
     }
@@ -134,9 +143,9 @@ struct ChainFixture
      */
     static constexpr int kSlots = 8;
 
-    std::vector<RsEntry> window;
+    std::vector<RsEntry<kBits>> window;
     SlotRing order;
-    SubscriberIndex subs;
+    SubscriberIndex<kBits> subs;
     RecordingHooks hooks;
 
     ChainFixture()
@@ -147,39 +156,39 @@ struct ChainFixture
         subs.reset(kSlots);
         window.resize(kSlots);
         for (int s = 0; s < 3; ++s) {
-            RsEntry &e = window[static_cast<std::size_t>(s)];
+            RsEntry<kBits> &e = window[static_cast<std::size_t>(s)];
             e.busy = true;
             e.slot = s;
             e.seq = static_cast<std::uint64_t>(s + 1);
             e.executed = true;
             e.issued = true;
         }
-        RsEntry &p = window[0];
+        RsEntry<kBits> &p = window[0];
         p.predicted = true;
         p.outValue = 111;
         p.outDeps.set(0);
 
-        RsEntry &c1 = window[1];
+        RsEntry<kBits> &c1 = window[1];
         c1.src[0].state = OperandState::Predicted;
         c1.src[0].tag = 0;
         c1.src[0].value = 42; // stale predicted value
         c1.src[0].deps.set(0);
         c1.outDeps.set(0);
 
-        RsEntry &c2 = window[2];
+        RsEntry<kBits> &c2 = window[2];
         c2.src[0].state = OperandState::Speculative;
         c2.src[0].tag = 1;
         c2.src[0].deps.set(0);
         c2.outDeps.set(0);
     }
 
-    WindowRef ref() { return {window, order}; }
+    WindowRef<kBits> ref() { return {window, order}; }
 
     /** Sparse view: subscribe every entry's current masks first. */
-    WindowRef
+    WindowRef<kBits>
     sparseRef()
     {
-        for (const RsEntry &e : window)
+        for (const RsEntry<kBits> &e : window)
             subs.noteEntry(e);
         return {window, order, &subs};
     }
@@ -401,58 +410,96 @@ TEST(InvalPolicyTest, CompleteRaisesSquashOnly)
 }
 
 // =====================================================================
-// word-parallel mask operations
+// word-parallel mask operations (every mask width)
 // =====================================================================
 
 TEST(MaskOpsTest, TestAndClear)
 {
-    SpecMask m;
-    m.set(3);
-    m.set(200);
-    EXPECT_TRUE(mask::testAndClear(m, 3));
-    EXPECT_FALSE(m.test(3));
-    EXPECT_FALSE(mask::testAndClear(m, 3));
-    EXPECT_TRUE(m.test(200)); // untouched
-    EXPECT_FALSE(mask::testAndClear(m, 0));
+    forEachMaskWidth([](auto width) {
+        constexpr std::size_t kW = decltype(width)::value;
+        // Bit 200 where the mask has it, else the top bit.
+        constexpr std::size_t kHigh = std::min<std::size_t>(200, kW - 1);
+        SpecMask<kW> m;
+        m.set(3);
+        m.set(kHigh);
+        EXPECT_TRUE(mask::testAndClear(m, 3));
+        EXPECT_FALSE(m.test(3));
+        EXPECT_FALSE(mask::testAndClear(m, 3));
+        EXPECT_TRUE(m.test(kHigh)); // untouched
+        EXPECT_FALSE(mask::testAndClear(m, 0));
+        // The top bit clears like any other.
+        m.set(kW - 1);
+        EXPECT_TRUE(mask::testAndClear(m, kW - 1));
+        EXPECT_FALSE(m.test(kW - 1));
+    });
 }
 
 TEST(MaskOpsTest, AnyIntersect)
 {
-    SpecMask a, b;
-    a.set(7);
-    a.set(130);
-    b.set(8);
-    EXPECT_FALSE(mask::anyIntersect(a, b));
-    b.set(130);
-    EXPECT_TRUE(mask::anyIntersect(a, b));
-    EXPECT_FALSE(mask::anyIntersect(a, SpecMask{}));
+    forEachMaskWidth([](auto width) {
+        constexpr std::size_t kW = decltype(width)::value;
+        // Bit 130 where the mask has it, else the top bit.
+        constexpr std::size_t kHigh = std::min<std::size_t>(130, kW - 1);
+        SpecMask<kW> a, b;
+        a.set(7);
+        a.set(kHigh);
+        b.set(8);
+        EXPECT_FALSE(mask::anyIntersect(a, b));
+        b.set(kHigh);
+        EXPECT_TRUE(mask::anyIntersect(a, b));
+        EXPECT_FALSE(mask::anyIntersect(a, SpecMask<kW>{}));
+        a.reset(kHigh);
+        a.set(kW - 1);
+        b.set(kW - 1);
+        EXPECT_TRUE(mask::anyIntersect(a, b));
+    });
 }
 
 TEST(MaskOpsTest, ForEachSetBitAscendingAcrossWords)
 {
-    SpecMask m;
-    // Bits in four different 64-bit words, including both ends.
-    for (int b : {0, 5, 63, 64, 127, 128, 255})
-        m.set(static_cast<std::size_t>(b));
-    std::vector<int> seen;
-    mask::forEachSetBit(m, [&](int b) { seen.push_back(b); });
-    EXPECT_EQ(seen, (std::vector<int>{0, 5, 63, 64, 127, 128, 255}));
+    forEachMaskWidth([](auto width) {
+        constexpr std::size_t kW = decltype(width)::value;
+        // Bits in every 64-bit word the width has, including both
+        // ends and each width's top bit.
+        std::vector<int> want;
+        for (int b : {0, 5, 63, 64, 127, 128, 255, 511}) {
+            if (static_cast<std::size_t>(b) < kW)
+                want.push_back(b);
+        }
+        ASSERT_EQ(want.back(), static_cast<int>(kW - 1));
+        SpecMask<kW> m;
+        for (int b : want)
+            m.set(static_cast<std::size_t>(b));
+        std::vector<int> seen;
+        mask::forEachSetBit(m, [&](int b) { seen.push_back(b); });
+        EXPECT_EQ(seen, want);
 
-    seen.clear();
-    mask::forEachSetBit(SpecMask{}, [&](int b) { seen.push_back(b); });
-    EXPECT_TRUE(seen.empty());
+        seen.clear();
+        mask::forEachSetBit(SpecMask<kW>{},
+                            [&](int b) { seen.push_back(b); });
+        EXPECT_TRUE(seen.empty());
+    });
 }
 
 TEST(MaskOpsTest, FindFirst)
 {
-    EXPECT_EQ(mask::findFirst(SpecMask{}), -1);
-    SpecMask m;
-    m.set(255);
-    EXPECT_EQ(mask::findFirst(m), 255);
-    m.set(64);
-    EXPECT_EQ(mask::findFirst(m), 64);
-    m.set(0);
-    EXPECT_EQ(mask::findFirst(m), 0);
+    forEachMaskWidth([](auto width) {
+        constexpr std::size_t kW = decltype(width)::value;
+        // Bit 255 where the mask has it, else the top bit.
+        constexpr int kHigh = static_cast<int>(std::min<std::size_t>(
+            255, kW - 1));
+        EXPECT_EQ(mask::findFirst(SpecMask<kW>{}), -1);
+        SpecMask<kW> top;
+        top.set(kW - 1);
+        EXPECT_EQ(mask::findFirst(top), static_cast<int>(kW - 1));
+        SpecMask<kW> m;
+        m.set(kHigh);
+        EXPECT_EQ(mask::findFirst(m), kHigh);
+        m.set(64);
+        EXPECT_EQ(mask::findFirst(m), 64);
+        m.set(0);
+        EXPECT_EQ(mask::findFirst(m), 0);
+    });
 }
 
 // =====================================================================
@@ -556,7 +603,7 @@ TEST(SubscriberIndexTest, DuplicateNotesSubscribeOnce)
 {
     ChainFixture f;
     for (int round = 0; round < 3; ++round)
-        for (const RsEntry &e : f.window)
+        for (const RsEntry<kBits> &e : f.window)
             f.subs.noteEntry(e);
     EXPECT_EQ(f.subs.collect(0, f.window).size(), 3u);
     EXPECT_TRUE(f.subs.checkInvariants(f.window));
@@ -565,7 +612,7 @@ TEST(SubscriberIndexTest, DuplicateNotesSubscribeOnce)
 TEST(SubscriberIndexTest, CollectPrunesStaleSubscriptions)
 {
     ChainFixture f;
-    for (const RsEntry &e : f.window)
+    for (const RsEntry<kBits> &e : f.window)
         f.subs.noteEntry(e);
     // The indirect consumer loses the bit (as a verify sweep would
     // clear it) and the producer's slot is freed.
@@ -584,7 +631,7 @@ TEST(SubscriberIndexTest, CollectPrunesStaleSubscriptions)
 TEST(SubscriberIndexTest, AnyOtherCarrierExcludesSelf)
 {
     ChainFixture f;
-    for (const RsEntry &e : f.window)
+    for (const RsEntry<kBits> &e : f.window)
         f.subs.noteEntry(e);
     EXPECT_TRUE(f.subs.anyOtherCarrier(0, f.window, 0));
     // Only the producer itself still carries the bit: no residue.
@@ -598,20 +645,20 @@ TEST(SubscriberIndexTest, AnyOtherCarrierExcludesSelf)
 
 TEST(SubscriberIndexTest, CarriesTestsAllFourMasks)
 {
-    RsEntry e;
+    RsEntry<kBits> e;
     e.slot = 0;
-    EXPECT_FALSE(SubscriberIndex::carries(e, 7));
+    EXPECT_FALSE(SubscriberIndex<kBits>::carries(e, 7));
     e.src[0].deps.set(7);
-    EXPECT_TRUE(SubscriberIndex::carries(e, 7));
+    EXPECT_TRUE(SubscriberIndex<kBits>::carries(e, 7));
     e.src[0].deps.reset(7);
     e.src[1].deps.set(7);
-    EXPECT_TRUE(SubscriberIndex::carries(e, 7));
+    EXPECT_TRUE(SubscriberIndex<kBits>::carries(e, 7));
     e.src[1].deps.reset(7);
     e.outDeps.set(7);
-    EXPECT_TRUE(SubscriberIndex::carries(e, 7));
+    EXPECT_TRUE(SubscriberIndex<kBits>::carries(e, 7));
     e.outDeps.reset(7);
     e.memDeps.set(7);
-    EXPECT_TRUE(SubscriberIndex::carries(e, 7));
+    EXPECT_TRUE(SubscriberIndex<kBits>::carries(e, 7));
 }
 
 TEST(SubscriberIndexTest, InvariantCheckerCatchesMissedNote)
@@ -621,7 +668,7 @@ TEST(SubscriberIndexTest, InvariantCheckerCatchesMissedNote)
     std::string why;
     EXPECT_FALSE(f.subs.checkInvariants(f.window, &why));
     EXPECT_NE(why.find("without a subscription"), std::string::npos);
-    for (const RsEntry &e : f.window)
+    for (const RsEntry<kBits> &e : f.window)
         f.subs.noteEntry(e);
     EXPECT_TRUE(f.subs.checkInvariants(f.window, &why)) << why;
 }
@@ -636,8 +683,8 @@ expectSameOutcome(const ChainFixture &dense, const ChainFixture &sparse)
 {
     for (std::size_t s = 0; s < dense.window.size(); ++s) {
         SCOPED_TRACE("slot " + std::to_string(s));
-        const RsEntry &d = dense.window[s];
-        const RsEntry &sp = sparse.window[s];
+        const RsEntry<kBits> &d = dense.window[s];
+        const RsEntry<kBits> &sp = sparse.window[s];
         EXPECT_EQ(d.executed, sp.executed);
         EXPECT_EQ(d.issued, sp.issued);
         EXPECT_EQ(d.outDeps, sp.outDeps);
@@ -714,7 +761,8 @@ TEST(SparseSweepTest, InvalSchemesMatchDense)
             // test does.
             for (ChainFixture *f : {&dense, &sparse}) {
                 for (int slot : f->hooks.nullified) {
-                    RsEntry &e = f->window[static_cast<std::size_t>(slot)];
+                    RsEntry<kBits> &e =
+                        f->window[static_cast<std::size_t>(slot)];
                     e.executed = false;
                     e.issued = false;
                     e.outDeps.reset();

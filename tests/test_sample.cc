@@ -27,11 +27,13 @@
 #include "vsim/sim/simulator.hh"
 #include "vsim/sim/sweep.hh"
 #include "vsim/workloads/workloads.hh"
+#include "mask_width.hh"
 
 namespace
 {
 
 using namespace vsim;
+using vsim::testutil::forEachMaskWidth;
 
 core::CoreConfig
 vpSampleConfig()
@@ -453,103 +455,127 @@ nextRand(std::uint64_t &state)
 
 TEST(MaskOps, ToWordsMatchesBitsetOnEveryBit)
 {
-    std::uint64_t state = 1;
-    for (int trial = 0; trial < 32; ++trial) {
-        core::SpecMask m;
-        for (int b = 0; b < core::kMaxWindow; ++b)
-            if (nextRand(state) & 1)
-                m.set(b);
-        const core::mask::MaskWords words = core::mask::toWords(m);
-        for (int b = 0; b < core::kMaxWindow; ++b) {
-            const bool w = (words[b / 64] >> (b % 64)) & 1;
-            ASSERT_EQ(w, m.test(b)) << "bit " << b;
+    forEachMaskWidth([](auto width) {
+        constexpr std::size_t kW = decltype(width)::value;
+        constexpr int kN = static_cast<int>(kW);
+        std::uint64_t state = 1;
+        for (int trial = 0; trial < 32; ++trial) {
+            core::SpecMask<kW> m;
+            for (int b = 0; b < kN; ++b)
+                if (nextRand(state) & 1)
+                    m.set(b);
+            const core::mask::MaskWords<kW> words = core::mask::toWords(m);
+            for (int b = 0; b < kN; ++b) {
+                const bool w = (words[b / 64] >> (b % 64)) & 1;
+                ASSERT_EQ(w, m.test(b)) << "bit " << b;
+            }
         }
-    }
+    });
 }
 
 TEST(MaskOps, ForEachSetBitVisitsExactlyTheSetBitsAscending)
 {
-    std::uint64_t state = 99;
-    for (int trial = 0; trial < 32; ++trial) {
-        core::SpecMask m;
-        std::vector<int> want;
-        // Mix densities: sparse, half, dense patterns all occur.
-        const int keep = 1 + trial % 7;
-        for (int b = 0; b < core::kMaxWindow; ++b) {
-            if (nextRand(state) % 7 < static_cast<std::uint64_t>(keep)) {
-                m.set(b);
-                want.push_back(b);
+    forEachMaskWidth([](auto width) {
+        constexpr std::size_t kW = decltype(width)::value;
+        constexpr int kN = static_cast<int>(kW);
+        std::uint64_t state = 99;
+        for (int trial = 0; trial < 32; ++trial) {
+            core::SpecMask<kW> m;
+            std::vector<int> want;
+            // Mix densities: sparse, half, dense patterns all occur.
+            const int keep = 1 + trial % 7;
+            for (int b = 0; b < kN; ++b) {
+                if (nextRand(state) % 7
+                    < static_cast<std::uint64_t>(keep)) {
+                    m.set(b);
+                    want.push_back(b);
+                }
             }
+            std::vector<int> got;
+            core::mask::forEachSetBit(m,
+                                      [&](int b) { got.push_back(b); });
+            EXPECT_EQ(got, want);
         }
-        std::vector<int> got;
-        core::mask::forEachSetBit(m, [&](int b) { got.push_back(b); });
-        EXPECT_EQ(got, want);
-    }
+    });
 }
 
 TEST(MaskOps, EdgeBitsAndEmptyMask)
 {
-    core::SpecMask m;
-    EXPECT_EQ(core::mask::findFirst(m), -1);
-    std::vector<int> got;
-    core::mask::forEachSetBit(m, [&](int b) { got.push_back(b); });
-    EXPECT_TRUE(got.empty());
+    forEachMaskWidth([](auto width) {
+        constexpr std::size_t kW = decltype(width)::value;
+        constexpr int kN = static_cast<int>(kW);
+        core::SpecMask<kW> m;
+        EXPECT_EQ(core::mask::findFirst(m), -1);
+        std::vector<int> got;
+        core::mask::forEachSetBit(m, [&](int b) { got.push_back(b); });
+        EXPECT_TRUE(got.empty());
 
-    // Word boundaries: first/last bit of first/middle/last word.
-    for (const int b : {0, 63, 64, 127, 128, core::kMaxWindow - 1}) {
-        core::SpecMask single;
-        single.set(b);
-        EXPECT_EQ(core::mask::findFirst(single), b);
+        // Word boundaries: first/last bit of first/middle/last word,
+        // up to each width's top bit.
+        for (const int b : {0, 63, 64, 127, 128, 255, 511}) {
+            if (b >= kN)
+                continue;
+            core::SpecMask<kW> single;
+            single.set(b);
+            EXPECT_EQ(core::mask::findFirst(single), b);
+            got.clear();
+            core::mask::forEachSetBit(single,
+                                      [&](int x) { got.push_back(x); });
+            EXPECT_EQ(got, std::vector<int>{b});
+        }
+
+        core::SpecMask<kW> full;
+        full.set();
+        EXPECT_EQ(core::mask::findFirst(full), 0);
         got.clear();
-        core::mask::forEachSetBit(single,
-                                  [&](int x) { got.push_back(x); });
-        EXPECT_EQ(got, std::vector<int>{b});
-    }
-
-    core::SpecMask full;
-    full.set();
-    EXPECT_EQ(core::mask::findFirst(full), 0);
-    got.clear();
-    core::mask::forEachSetBit(full, [&](int x) { got.push_back(x); });
-    ASSERT_EQ(got.size(), static_cast<std::size_t>(core::kMaxWindow));
-    for (int b = 0; b < core::kMaxWindow; ++b)
-        EXPECT_EQ(got[b], b);
+        core::mask::forEachSetBit(full, [&](int x) { got.push_back(x); });
+        ASSERT_EQ(got.size(), kW);
+        for (int b = 0; b < kN; ++b)
+            EXPECT_EQ(got[b], b);
+    });
 }
 
 TEST(MaskOps, FindFirstMatchesScan)
 {
-    std::uint64_t state = 7;
-    for (int trial = 0; trial < 64; ++trial) {
-        core::SpecMask m;
-        for (int b = 0; b < core::kMaxWindow; ++b)
-            if (nextRand(state) % 97 == 0)
-                m.set(b);
-        int want = -1;
-        for (int b = 0; b < core::kMaxWindow; ++b)
-            if (m.test(b)) {
-                want = b;
-                break;
-            }
-        EXPECT_EQ(core::mask::findFirst(m), want);
-    }
+    forEachMaskWidth([](auto width) {
+        constexpr std::size_t kW = decltype(width)::value;
+        constexpr int kN = static_cast<int>(kW);
+        std::uint64_t state = 7;
+        for (int trial = 0; trial < 64; ++trial) {
+            core::SpecMask<kW> m;
+            for (int b = 0; b < kN; ++b)
+                if (nextRand(state) % 97 == 0)
+                    m.set(b);
+            int want = -1;
+            for (int b = 0; b < kN; ++b)
+                if (m.test(b)) {
+                    want = b;
+                    break;
+                }
+            EXPECT_EQ(core::mask::findFirst(m), want);
+        }
+    });
 }
 
 TEST(MaskOps, TestAndClearAndIntersect)
 {
-    core::SpecMask m;
-    m.set(5);
-    m.set(100);
-    EXPECT_TRUE(core::mask::testAndClear(m, 5));
-    EXPECT_FALSE(m.test(5));
-    EXPECT_FALSE(core::mask::testAndClear(m, 5));
-    EXPECT_TRUE(m.test(100));
+    forEachMaskWidth([](auto width) {
+        constexpr std::size_t kW = decltype(width)::value;
+        core::SpecMask<kW> m;
+        m.set(5);
+        m.set(100);
+        EXPECT_TRUE(core::mask::testAndClear(m, 5));
+        EXPECT_FALSE(m.test(5));
+        EXPECT_FALSE(core::mask::testAndClear(m, 5));
+        EXPECT_TRUE(m.test(100));
 
-    core::SpecMask a, b;
-    a.set(64);
-    b.set(65);
-    EXPECT_FALSE(core::mask::anyIntersect(a, b));
-    b.set(64);
-    EXPECT_TRUE(core::mask::anyIntersect(a, b));
+        core::SpecMask<kW> a, b;
+        a.set(64);
+        b.set(65);
+        EXPECT_FALSE(core::mask::anyIntersect(a, b));
+        b.set(64);
+        EXPECT_TRUE(core::mask::anyIntersect(a, b));
+    });
 }
 
 } // namespace

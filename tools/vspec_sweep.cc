@@ -34,6 +34,15 @@
 namespace
 {
 
+/** One "name  description" line per named sweep, each after @p indent. */
+void
+listSweeps(std::FILE *out, const char *indent)
+{
+    for (const auto &s : vsim::sim::namedSweeps())
+        std::fprintf(out, "%s%-16s %s\n", indent, s.name.c_str(),
+                     s.description.c_str());
+}
+
 void
 usage(const char *argv0)
 {
@@ -135,9 +144,7 @@ usage(const char *argv0)
                  "named sweeps:\n",
                  argv0, static_cast<int>(std::strlen(argv0) + 7), "",
                  argv0);
-    for (const auto &s : vsim::sim::namedSweeps())
-        std::fprintf(stderr, "  %-16s %s\n", s.name.c_str(),
-                     s.description.c_str());
+    listSweeps(stderr, "  ");
 }
 
 int
@@ -220,7 +227,7 @@ main(int argc, char **argv)
             return argv[++i];
         };
         if (!std::strcmp(argv[i], "--list")) {
-            usage(argv[0]);
+            listSweeps(stdout, "");
             return 0;
         } else if (!std::strcmp(argv[i], "--quick")) {
             opt.quick = true;
