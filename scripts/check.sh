@@ -63,7 +63,7 @@ cmake -B build-asan -S . -DVSIM_SANITIZE=address,undefined >/dev/null
 cmake --build build-asan -j --target \
     test_core_base test_core_vspec test_core_misc test_core_xprod \
     test_policy test_event_queue test_scheduler test_sweepdiff test_cpi \
-    test_fuzz test_vpred test_mask_width
+    test_fuzz test_vpred test_mask_width test_mem
 ./build-asan/tests/test_core_base
 ./build-asan/tests/test_core_vspec
 ./build-asan/tests/test_core_misc
@@ -71,6 +71,8 @@ cmake --build build-asan -j --target \
 # territory; run the attribution/ledger suite under ASan too.
 ./build-asan/tests/test_cpi
 ./build-asan/tests/test_policy
+# The cycle wheel under the event queue moves bucket storage around
+# on every drain and on growth.
 ./build-asan/tests/test_event_queue
 ./build-asan/tests/test_scheduler
 ./build-asan/tests/test_sweepdiff
@@ -81,6 +83,9 @@ cmake --build build-asan -j --target \
 # subscriber-index invariants checked mid-run: a narrow mask indexed
 # past its last word is exactly what ASan/UBSan catch.
 ./build-asan/tests/test_mask_width
+# MemImage's one-lookup path indexes a page by offset: accesses that
+# end at a page end, straddle a page or wrap past 2^64 sit on its edge.
+./build-asan/tests/test_mem
 # The full cross product is covered (without sanitizers) by ctest;
 # under ASan run the regression slice plus the speculative
 # memory-resolution slice (memDeps bookkeeping is exactly the kind of

@@ -66,7 +66,10 @@ class StateWriter
     void
     tag(const char (&t)[5])
     {
-        buf.insert(buf.end(), t, t + 4);
+        // Byte by byte, like u64(): a range insert into a fresh buffer
+        // trips a GCC 12 -Wstringop-overflow false positive.
+        for (int i = 0; i < 4; ++i)
+            u8(static_cast<std::uint8_t>(t[i]));
     }
 
     void

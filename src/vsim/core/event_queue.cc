@@ -1,7 +1,5 @@
 #include "event_queue.hh"
 
-#include <algorithm>
-
 #include "vsim/base/logging.hh"
 
 namespace vsim::core
@@ -10,7 +8,7 @@ namespace vsim::core
 void
 EventQueue::schedule(std::uint64_t at, const Event &ev)
 {
-    byCycle[at].push_back(ev);
+    byCycle.push(at, ev);
 }
 
 void
@@ -30,29 +28,22 @@ EventQueue::advanceWave(std::uint64_t now, const Event &ev)
 const std::vector<Event> &
 EventQueue::popBatch(std::uint64_t now)
 {
-    VSIM_ASSERT(due(now), "popBatch with no due events");
-    auto it = byCycle.begin();
-    batchScratch.clear();
-    batchScratch.insert(batchScratch.end(), it->second.begin(),
-                        it->second.end());
-    byCycle.erase(it);
-    std::stable_sort(batchScratch.begin(), batchScratch.end(),
-                     [](const Event &a, const Event &b) {
-                         if (a.seq != b.seq)
-                             return a.seq < b.seq;
-                         return static_cast<int>(a.kind)
-                                < static_cast<int>(b.kind);
-                     });
+    byCycle.take(now, batchScratch);
+    // Stable insertion sort by (seq, kind): batches are short and
+    // mostly scheduled in order already, and it needs no buffer.
+    const auto before = [](const Event &a, const Event &b) {
+        if (a.seq != b.seq)
+            return a.seq < b.seq;
+        return static_cast<int>(a.kind) < static_cast<int>(b.kind);
+    };
+    for (std::size_t i = 1; i < batchScratch.size(); ++i) {
+        const Event ev = batchScratch[i];
+        std::size_t j = i;
+        for (; j > 0 && before(ev, batchScratch[j - 1]); --j)
+            batchScratch[j] = batchScratch[j - 1];
+        batchScratch[j] = ev;
+    }
     return batchScratch;
-}
-
-std::size_t
-EventQueue::pendingEvents() const
-{
-    std::size_t n = 0;
-    for (const auto &[at, batch] : byCycle)
-        n += batch.size();
-    return n;
 }
 
 } // namespace vsim::core

@@ -12,6 +12,11 @@
  * EqCheck -> Verify under the super model) form the next batch of the
  * same cycle. The contract is independent of scheduling order, so a
  * run is bit-reproducible no matter which code path enqueued first.
+ * Events that tie on (seq, kind) keep their scheduling order.
+ *
+ * Pending events sit in a CycleWheel (cycle_wheel.hh), one bucket per
+ * cycle. A batch is one bucket taken whole and sorted in place, so
+ * draining a cycle allocates nothing.
  *
  * The queue also owns the hierarchical-wave depth bookkeeping that
  * used to be duplicated between the verify and invalidate paths: an
@@ -23,8 +28,9 @@
 #define VSIM_CORE_EVENT_QUEUE_HH
 
 #include <cstdint>
-#include <map>
 #include <vector>
+
+#include "cycle_wheel.hh"
 
 namespace vsim::core
 {
@@ -61,25 +67,23 @@ class EventQueue
     void advanceWave(std::uint64_t now, const Event &ev);
 
     /** Any event scheduled at or before @p now? */
-    bool due(std::uint64_t now) const
-    {
-        return !byCycle.empty() && byCycle.begin()->first <= now;
-    }
+    bool due(std::uint64_t now) { return byCycle.due(now); }
 
     /**
-     * Remove and return the earliest due batch, sorted (seq, kind).
-     * Only valid while due(now) holds. The returned reference aliases
-     * reused internal storage: it stays valid while the batch is
-     * iterated (schedule() during iteration only touches the pending
-     * map) and is overwritten by the next popBatch() call.
+     * Remove and return the earliest due batch, sorted (seq, kind)
+     * and stable, so events that tie on both keep their scheduling
+     * order. Only valid while due(now) holds. The returned reference
+     * aliases reused internal storage: it stays valid while the batch
+     * is iterated (schedule() during iteration only touches the
+     * wheel's buckets) and is overwritten by the next popBatch() call.
      */
     const std::vector<Event> &popBatch(std::uint64_t now);
 
     bool empty() const { return byCycle.empty(); }
-    std::size_t pendingEvents() const;
+    std::size_t pendingEvents() const { return byCycle.size(); }
 
   private:
-    std::map<std::uint64_t, std::vector<Event>> byCycle;
+    CycleWheel<Event> byCycle;
     std::vector<Event> batchScratch;
 };
 

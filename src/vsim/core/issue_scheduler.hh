@@ -23,6 +23,10 @@
  * next touch, so a cycle's work is proportional to the number of
  * state changes, not to the window size.
  *
+ * Timed slots wait on a CycleWheel (cycle_wheel.hh) keyed by their
+ * wake cycle. Re-arming a slot leaves its old timer behind; a timer
+ * whose slot is no longer Timed for that cycle is stale and skipped.
+ *
  * The collect result is the exact set the monolithic scan used to
  * produce; selection order is re-established by the caller's
  * (prio, spec, seq) sort, so the scan and ready-list paths are
@@ -33,8 +37,9 @@
 #define VSIM_CORE_ISSUE_SCHEDULER_HH
 
 #include <cstdint>
-#include <map>
 #include <vector>
+
+#include "cycle_wheel.hh"
 
 namespace vsim::core
 {
@@ -67,7 +72,7 @@ class IssueScheduler
     {
         slots.assign(static_cast<std::size_t>(nslots), SlotState{});
         dirty.clear();
-        buckets.clear();
+        timers.clear();
         ready.clear();
     }
 
@@ -102,15 +107,13 @@ class IssueScheduler
     {
         // Due timers become dirty and go through the same classifier
         // (their conditions may have shifted since they were armed).
-        while (!buckets.empty() && buckets.begin()->first <= now) {
-            for (int slot : buckets.begin()->second) {
+        while (timers.due(now)) {
+            const std::uint64_t due_at = timers.take(now, woken);
+            for (int slot : woken) {
                 SlotState &s = at(slot);
-                if (s.kind == Kind::Timed
-                    && s.wakeAt == buckets.begin()->first) {
+                if (s.kind == Kind::Timed && s.wakeAt == due_at)
                     touch(slot);
-                }
             }
-            buckets.erase(buckets.begin());
         }
 
         for (std::size_t i = 0; i < dirty.size(); ++i) {
@@ -130,7 +133,7 @@ class IssueScheduler
               case WakeClass::Timed:
                 s.kind = Kind::Timed;
                 s.wakeAt = c.at > now ? c.at : now + 1;
-                buckets[s.wakeAt].push_back(slot);
+                timers.push(s.wakeAt, slot);
                 break;
               case WakeClass::Parked:
                 s.kind = Kind::Parked;
@@ -178,7 +181,9 @@ class IssueScheduler
 
     std::vector<SlotState> slots;
     std::vector<int> dirty;
-    std::map<std::uint64_t, std::vector<int>> buckets;
+    /** Timed slots by wake cycle (stale once reclassified). */
+    CycleWheel<int> timers;
+    std::vector<int> woken; //!< the timer bucket being drained
     std::vector<int> ready;
 };
 

@@ -116,9 +116,9 @@ template <std::size_t Bits>
 void
 BasicOooCore<Bits>::applyCompletions()
 {
-    auto it = completions.begin();
-    while (it != completions.end() && it->first <= cycle) {
-        for (const Completion &c : it->second) {
+    while (completions.due(cycle)) {
+        completions.take(cycle, completionBatch);
+        for (const Completion &c : completionBatch) {
             RsEntry<Bits> &e = entry(c.slot);
             if (!e.busy || e.seq != c.seq || e.nonce != c.nonce
                 || !e.issued || e.executed) {
@@ -175,7 +175,6 @@ BasicOooCore<Bits>::applyCompletions()
                 ec.mispredicted = true;
             }
         }
-        it = completions.erase(it);
     }
 }
 
@@ -324,6 +323,14 @@ BasicOooCore<Bits>::retireOne()
 
     if (e.inst.isStore()) {
         memory.write(e.memAddr, e.src[0].value, e.inst.memSize());
+        // A store into text ends predecoded fetch for the rest of the
+        // run. Byte addresses wrap modulo 2^64, as in MemImage.
+        for (int i = 0; i < e.inst.memSize(); ++i) {
+            if (e.memAddr + static_cast<std::uint64_t>(i) - textBase
+                < 4 * textInsts.size()) {
+                textWritten = true;
+            }
+        }
         dcacheH.access(e.memAddr, true);
         ++dcachePortsUsed;
         ++stats_.retiredStores;
@@ -358,9 +365,6 @@ BasicOooCore<Bits>::retireOne()
     if (e.vpEligible) {
         ++stats_.vpEligible;
         const bool correct = e.predValue == e.outValue;
-        auto &pp = perPcVp[ec.pc];
-        ++pp.first;
-        pp.second += correct;
         if (correct)
             ++(e.predConfident ? stats_.vpCH : stats_.vpCL);
         else

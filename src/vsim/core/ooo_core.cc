@@ -48,6 +48,9 @@ BasicOooCore<Bits>::BasicOooCore(
     memory = std::move(init.mem);
     archRegs = init.regs;
     fetchPc = init.pc;
+    textBase = prog.textBase;
+    textInsts.resize(prog.text.size());
+    predecodeText();
 
     window.resize(static_cast<std::size_t>(cfg.windowSize));
     windowCold.resize(static_cast<std::size_t>(cfg.windowSize));
@@ -106,6 +109,7 @@ BasicOooCore<Bits>::startFromSnapshot(const SimSnapshot &snap)
 
     archRegs = snap.regs;
     memory = snap.memory;
+    predecodeText(); // warmup may have stored into text
     startIndex = snap.instIndex;
     retiredCount = snap.instIndex;
     fetchTraceIdx = static_cast<std::int64_t>(snap.instIndex);
@@ -119,6 +123,16 @@ BasicOooCore<Bits>::startFromSnapshot(const SimSnapshot &snap)
     icacheH.l1().restore(r);
     dcacheH.l1().restore(r);
     VSIM_ASSERT(r.done(), "trailing bytes in snapshot tables");
+}
+
+template <std::size_t Bits>
+void
+BasicOooCore<Bits>::predecodeText()
+{
+    for (std::size_t i = 0; i < textInsts.size(); ++i) {
+        textInsts[i] = isa::decode(static_cast<std::uint32_t>(
+            memory.read(textBase + 4 * i, 4)));
+    }
 }
 
 template <std::size_t Bits>
@@ -885,14 +899,6 @@ std::uint64_t
 OooCore::now() const
 {
     return std::visit([](auto &c) { return c->now(); }, core_);
-}
-
-const PerPcVp &
-OooCore::perPcVpStats() const
-{
-    return std::visit(
-        [](auto &c) -> const PerPcVp & { return c->perPcVpStats(); },
-        core_);
 }
 
 std::uint64_t

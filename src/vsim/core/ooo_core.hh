@@ -36,6 +36,8 @@
  *              ordering contract                (event_queue.hh)
  *   wakeup     IssueScheduler ready lists keyed by operand
  *              availability                     (issue_scheduler.hh)
+ *   time       CycleWheel buckets under completions, events and
+ *              wakeup timers                    (cycle_wheel.hh)
  *
  * Timing of the speculation events is governed entirely by the
  * SpecModel latency variables (§4); with value prediction disabled the
@@ -53,7 +55,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <map>
 #include <memory>
 #include <optional>
 #include <variant>
@@ -61,6 +62,7 @@
 
 #include "core_config.hh"
 #include "core_stats.hh"
+#include "cycle_wheel.hh"
 #include "event_queue.hh"
 #include "issue_scheduler.hh"
 #include "pipeline_trace.hh"
@@ -102,10 +104,6 @@ struct SimOutcome
  */
 using PredictionOverride = std::function<std::optional<std::uint64_t>(
     std::uint64_t pc, std::uint64_t correct_value)>;
-
-/** Per-PC value-prediction outcome counts: (eligible, correct). */
-using PerPcVp =
-    std::map<std::uint64_t, std::pair<std::uint64_t, std::uint64_t>>;
 
 /**
  * One in-flight store as load disambiguation sees it in a cycle: the
@@ -186,8 +184,6 @@ class BasicOooCore : private SpecHooks<Bits>
     const PipelineTracer &tracer() const { return tracer_; }
     std::uint64_t now() const { return cycle; }
 
-    const PerPcVp &perPcVpStats() const { return perPcVp; }
-
     /** Dynamic instruction count of the program (pre-execution). */
     std::uint64_t programLength() const { return trace.entries.size(); }
 
@@ -247,6 +243,8 @@ class BasicOooCore : private SpecHooks<Bits>
     void squashAfter(std::uint64_t seq, std::uint64_t new_fetch_pc,
                      std::int64_t resume_trace_idx);
     void rebuildRegTags();
+    /** Re-decode textInsts from committed memory. */
+    void predecodeText();
     void nullify(RsEntry<Bits> &e);
     void noteOutputValid(RsEntry<Bits> &e, bool via_event);
     void resolvePrediction(RsEntry<Bits> &p, bool verified);
@@ -397,6 +395,17 @@ class BasicOooCore : private SpecHooks<Bits>
     std::vector<StoreView> stores;
     std::uint64_t storesCycle = UINT64_MAX; //!< cycle `stores` describes
 
+    /** One issue candidate in the selection sort. */
+    struct Candidate
+    {
+        int prio;   //!< 0 issues first (SelectKey)
+        int spec;   //!< tie break within a prio class
+        std::uint64_t seq;
+        int slot;
+    };
+    /** This cycle's issue candidates (storage reused every cycle). */
+    std::vector<Candidate> issueCands;
+
     // fetch
     struct FetchedInst
     {
@@ -414,7 +423,20 @@ class BasicOooCore : private SpecHooks<Bits>
     std::uint64_t fetchResumeAt = 0; //!< stall for icache misses/redirect
     bool fetchSawHalt = false;
 
-    std::map<std::uint64_t, std::vector<Completion>> completions;
+    /**
+     * Predecoded text: the decode of every word of the program's text
+     * segment [textBase, textBase + 4 * textInsts.size()), taken from
+     * committed memory at construction and at startFromSnapshot().
+     * Fetch uses it for aligned PCs inside the segment until a
+     * retiring store writes a text byte (textWritten); from then on
+     * it reads and decodes memory like any other fetch.
+     */
+    std::uint64_t textBase = 0;
+    std::vector<std::optional<isa::Inst>> textInsts;
+    bool textWritten = false;
+
+    CycleWheel<Completion> completions;
+    std::vector<Completion> completionBatch; //!< the bucket being applied
     EventQueue events;
 
     // ---- event-driven wakeup state ----------------------------------------
@@ -472,7 +494,6 @@ class BasicOooCore : private SpecHooks<Bits>
 
     CoreStats stats_;
     PipelineTracer tracer_;
-    PerPcVp perPcVp;
 
     /**
      * Hot-path observability handles, bound once at construction: the
@@ -573,7 +594,6 @@ class OooCore
     const CoreStats &stats() const;
     const PipelineTracer &tracer() const;
     std::uint64_t now() const;
-    const PerPcVp &perPcVpStats() const;
     std::uint64_t programLength() const;
     bool checkSweepInvariants(std::string *why = nullptr) const;
 

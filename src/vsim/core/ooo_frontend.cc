@@ -44,9 +44,15 @@ BasicOooCore<Bits>::fetchStage()
     int fetched = 0;
 
     while (fetched < width && fetchQueue.size() < buf_cap) {
-        const std::uint32_t word =
-            static_cast<std::uint32_t>(memory.read(fetchPc, 4));
-        const auto decoded = isa::decode(word);
+        // Predecoded text unless the PC is outside it or unaligned, or
+        // a store has written text since it was decoded.
+        const std::uint64_t text_off = fetchPc - textBase;
+        const auto decoded =
+            !textWritten && text_off % 4 == 0
+                    && text_off / 4 < textInsts.size()
+                ? textInsts[text_off / 4]
+                : isa::decode(
+                      static_cast<std::uint32_t>(memory.read(fetchPc, 4)));
         if (!decoded) {
             // Wrong-path fetch ran into non-code bytes; a real machine
             // would raise a fault that the squash discards. Idle the

@@ -362,7 +362,7 @@ BasicOooCore<Bits>::issueEntry(RsEntry<Bits> &e)
             invalToReissueHist->sample(cycle - ec.nullifiedAt);
     }
     c.nonce = e.nonce;
-    completions[cycle + static_cast<std::uint64_t>(lat)].push_back(c);
+    completions.push(cycle + static_cast<std::uint64_t>(lat), c);
     ++stats_.issued;
 
     if (readyListScheduler())
@@ -381,15 +381,7 @@ BasicOooCore<Bits>::issueStage()
     if (halted)
         return;
 
-    struct Candidate
-    {
-        int prio;   //!< 0 issues first (SelectKey)
-        int spec;   //!< tie break within a prio class
-        std::uint64_t seq;
-        int slot;
-    };
-    std::vector<Candidate> cands;
-    cands.reserve(static_cast<std::size_t>(liveEntries));
+    issueCands.clear();
 
     const auto addCandidate = [&](int slot) {
         const RsEntry<Bits> &e = entry(slot);
@@ -400,7 +392,7 @@ BasicOooCore<Bits>::issueStage()
         }
         const bool typed = e.inst.isBranch() || e.inst.isLoad();
         const SelectKey k = policies.select->key(typed, spec);
-        cands.push_back({k.prio, k.spec, e.seq, slot});
+        issueCands.push_back({k.prio, k.spec, e.seq, slot});
     };
 
     if (readyListScheduler()) {
@@ -419,7 +411,7 @@ BasicOooCore<Bits>::issueStage()
         }
     }
 
-    std::sort(cands.begin(), cands.end(),
+    std::sort(issueCands.begin(), issueCands.end(),
               [](const Candidate &a, const Candidate &b) {
                   if (a.prio != b.prio)
                       return a.prio < b.prio;
@@ -429,7 +421,7 @@ BasicOooCore<Bits>::issueStage()
               });
 
     int issued = 0;
-    for (const Candidate &cand : cands) {
+    for (const Candidate &cand : issueCands) {
         if (issued >= cfg.issueWidth)
             break;
         RsEntry<Bits> &e = entry(cand.slot);

@@ -61,6 +61,18 @@ MemImage::read(std::uint64_t addr, int size) const
     VSIM_ASSERT(size == 1 || size == 2 || size == 4 || size == 8,
                 "bad access size ", size);
     std::uint64_t value = 0;
+    const std::uint64_t off = addr & (kPageSize - 1);
+    if (off + static_cast<std::uint64_t>(size) <= kPageSize) {
+        const Page *page = findPage(addr);
+        if (!page)
+            return 0;
+        for (int i = 0; i < size; ++i) {
+            value |= static_cast<std::uint64_t>((*page)[off + i])
+                     << (8 * i);
+        }
+        return value;
+    }
+    // Straddles a page (or wraps past 2^64 onto address 0).
     for (int i = 0; i < size; ++i)
         value |= static_cast<std::uint64_t>(readByte(addr + i)) << (8 * i);
     return value;
@@ -71,6 +83,14 @@ MemImage::write(std::uint64_t addr, std::uint64_t value, int size)
 {
     VSIM_ASSERT(size == 1 || size == 2 || size == 4 || size == 8,
                 "bad access size ", size);
+    const std::uint64_t off = addr & (kPageSize - 1);
+    if (off + static_cast<std::uint64_t>(size) <= kPageSize) {
+        Page &page = touchPage(addr);
+        for (int i = 0; i < size; ++i)
+            page[off + i] = static_cast<std::uint8_t>(value >> (8 * i));
+        return;
+    }
+    // Straddles a page (or wraps past 2^64 onto address 0).
     for (int i = 0; i < size; ++i)
         writeByte(addr + i, static_cast<std::uint8_t>(value >> (8 * i)));
 }

@@ -10,6 +10,7 @@
 #include "vsim/assembler/assembler.hh"
 #include "vsim/base/logging.hh"
 #include "vsim/core/ooo_core.hh"
+#include "vsim/core/snapshot.hh"
 #include "vsim/workloads/workloads.hh"
 
 namespace
@@ -112,21 +113,72 @@ TEST(Invariants, StatsMixSumsToRetired)
     EXPECT_GT(s.retiredBranches, 0u);
 }
 
-TEST(Invariants, PerPcStatsSumToEligible)
+// Self-modifying text: the word at `new` is stored over `old` long
+// before `old` runs, so fetch must see the stored word (exit code 2),
+// not the one the program was loaded with.
+const char *kStoreIntoText = R"(
+    li a0, 0
+    la t0, new
+    lw t1, 0(t0)
+    la t2, old
+    sw t1, 0(t2)
+    li a1, 700
+spin:
+    addi a1, a1, -1
+    bnez a1, spin
+old:
+    addi a0, a0, 1
+    halt a0
+new:
+    addi a0, a0, 2
+)";
+
+CoreConfig
+storeIntoTextConfig(int window, bool great)
 {
-    const auto prog = assembler::assemble(kSmallLoop);
     CoreConfig cfg;
-    cfg.useValuePrediction = true;
-    cfg.model = SpecModel::greatModel();
-    OooCore core(prog, cfg);
-    const SimOutcome out = core.run();
-    std::uint64_t total = 0, correct = 0;
-    for (const auto &[pc, counts] : core.perPcVpStats()) {
-        total += counts.first;
-        correct += counts.second;
+    cfg.windowSize = window;
+    if (great) {
+        cfg.useValuePrediction = true;
+        cfg.model = SpecModel::greatModel();
     }
-    EXPECT_EQ(total, out.stats.vpEligible);
-    EXPECT_EQ(correct, out.stats.vpCH + out.stats.vpCL);
+    return cfg;
+}
+
+TEST(SelfModifyingText, FetchSeesRetiredStoreIntoText)
+{
+    const auto prog = assembler::assemble(kStoreIntoText);
+    for (int window : {48, 512}) {
+        for (bool great : {false, true}) {
+            SCOPED_TRACE(std::to_string(window)
+                         + (great ? " great" : " base"));
+            OooCore core(prog, storeIntoTextConfig(window, great));
+            const SimOutcome out = core.run();
+            EXPECT_TRUE(out.halted);
+            EXPECT_EQ(out.exitCode, 2u);
+        }
+    }
+}
+
+TEST(SelfModifyingText, SnapshotStartSeesStoredText)
+{
+    // The store retired during functional warmup, before the snapshot
+    // point inside the spin loop: the restored core never retires it,
+    // so only the snapshot's memory shows the new word.
+    const auto prog = assembler::assemble(kStoreIntoText);
+    const arch::ExecTrace trace = arch::preExecute(prog);
+    const CoreConfig cfg = storeIntoTextConfig(512, true);
+    std::uint64_t point = 100;
+    while (trace.entries.at(point).pc != prog.symbols.at("spin"))
+        ++point;
+    const auto snaps = core::functionalWarmup(prog, trace, cfg, {point});
+    ASSERT_EQ(snaps.size(), 1u);
+
+    OooCore core(prog, trace, cfg);
+    core.startFromSnapshot(snaps[0]);
+    const SimOutcome out = core.run();
+    EXPECT_TRUE(out.halted);
+    EXPECT_EQ(out.exitCode, 2u);
 }
 
 TEST(Invariants, TickStopsAfterHalt)

@@ -3,13 +3,15 @@
  * Unit tests of the speculation event network's scheduler: the
  * deterministic (cycle, seq, kind) ordering contract, the batch
  * semantics for zero-latency event chains, and the unified
- * hierarchical-wave depth bookkeeping.
+ * hierarchical-wave depth bookkeeping; then the cycle wheel beneath
+ * it and the core's other time queues.
  */
 
 #include <gtest/gtest.h>
 
 #include <vector>
 
+#include "vsim/core/cycle_wheel.hh"
 #include "vsim/core/event_queue.hh"
 
 namespace
@@ -78,6 +80,25 @@ TEST(EventQueue, BatchSortsBySeqThenKind)
     EXPECT_EQ(b[2].kind, EventKind::EqCheck);
     EXPECT_EQ(b[3].seq, 50u);
     EXPECT_EQ(b[3].kind, EventKind::Verify);
+}
+
+TEST(EventQueue, SeqKindTiesKeepSchedulingOrder)
+{
+    // Two events with the same (seq, kind) in one cycle, told apart
+    // by slot and depth; an older event scheduled after them makes the
+    // sort move both.
+    EventQueue q;
+    q.schedule(3, ev(EventKind::Verify, 1, 40, 2));
+    q.schedule(3, ev(EventKind::Verify, 2, 40, 0));
+    q.schedule(3, ev(EventKind::Invalidate, 0, 30));
+
+    const auto &b = q.popBatch(3);
+    ASSERT_EQ(b.size(), 3u);
+    EXPECT_EQ(b[0].seq, 30u);
+    EXPECT_EQ(b[1].slot, 1);
+    EXPECT_EQ(b[1].depth, 2);
+    EXPECT_EQ(b[2].slot, 2);
+    EXPECT_EQ(b[2].depth, 0);
 }
 
 TEST(EventQueue, OrderIndependentOfSchedulingOrder)
@@ -185,6 +206,123 @@ TEST(EventQueueDeathTest, AdvanceWaveRequiresWaveEvent)
     ::testing::FLAGS_gtest_death_test_style = "threadsafe";
     EXPECT_DEATH(q.advanceWave(0, ev(EventKind::Verify, 0, 1, -1)),
                  "non-wave");
+}
+
+// =====================================================================
+// CycleWheel
+// =====================================================================
+
+/** Drain everything due at @p now as (cycle, entries) pairs. */
+std::vector<std::pair<std::uint64_t, std::vector<int>>>
+drainAll(CycleWheel<int> &w, std::uint64_t now)
+{
+    std::vector<std::pair<std::uint64_t, std::vector<int>>> out;
+    std::vector<int> batch;
+    while (w.due(now)) {
+        const std::uint64_t at = w.take(now, batch);
+        out.emplace_back(at, batch);
+    }
+    return out;
+}
+
+TEST(CycleWheel, InsertionOrderWithinOneCycle)
+{
+    CycleWheel<int> w;
+    for (int v : {7, 3, 9, 1})
+        w.push(5, v);
+    w.push(6, 0);
+    EXPECT_EQ(w.size(), 5u);
+    EXPECT_FALSE(w.due(4));
+
+    const auto got = drainAll(w, 5);
+    ASSERT_EQ(got.size(), 1u);
+    EXPECT_EQ(got[0].first, 5u);
+    EXPECT_EQ(got[0].second, (std::vector<int>{7, 3, 9, 1}));
+    EXPECT_EQ(w.size(), 1u);
+}
+
+TEST(CycleWheel, GrowthKeepsPendingEntriesInTheirCycles)
+{
+    // The 64-bucket ring's cursor sits at cycle 62, so the pending
+    // cycles 62..65 fill buckets 62, 63, 0 and 1 when a push 200
+    // cycles out doubles the ring twice.
+    CycleWheel<int> w;
+    w.push(62, -1);
+    ASSERT_EQ(drainAll(w, 62).size(), 1u);
+    for (std::uint64_t c = 62; c < 66; ++c) {
+        w.push(c, static_cast<int>(10 * c));
+        w.push(c, static_cast<int>(10 * c + 1));
+    }
+    w.push(262, 2620);
+    w.push(64, 642); // after growth, into a moved bucket
+    EXPECT_EQ(w.size(), 10u);
+
+    EXPECT_FALSE(w.due(61));
+    const auto got = drainAll(w, 1000);
+    using Bucket = std::pair<std::uint64_t, std::vector<int>>;
+    ASSERT_EQ(got.size(), 5u);
+    EXPECT_EQ(got[0], (Bucket{62, {620, 621}}));
+    EXPECT_EQ(got[1], (Bucket{63, {630, 631}}));
+    EXPECT_EQ(got[2], (Bucket{64, {640, 641, 642}}));
+    EXPECT_EQ(got[3], (Bucket{65, {650, 651}}));
+    EXPECT_EQ(got[4], (Bucket{262, {2620}}));
+    EXPECT_TRUE(w.empty());
+}
+
+TEST(CycleWheel, LateDrainCoversSeveralCycles)
+{
+    CycleWheel<int> w;
+    w.push(9, 90);
+    w.push(2, 20);
+    w.push(5, 50);
+    w.push(3, 30);
+
+    // Draining at 8 yields every cycle up to 8 in cycle order, and
+    // leaves cycle 9 pending.
+    const auto got = drainAll(w, 8);
+    ASSERT_EQ(got.size(), 3u);
+    EXPECT_EQ(got[0].first, 2u);
+    EXPECT_EQ(got[1].first, 3u);
+    EXPECT_EQ(got[2].first, 5u);
+    EXPECT_EQ(got[2].second, (std::vector<int>{50}));
+    EXPECT_EQ(w.size(), 1u);
+    EXPECT_FALSE(w.due(8));
+    ASSERT_TRUE(w.due(9));
+}
+
+TEST(CycleWheel, PushForCycleJustDrainedComesOutNext)
+{
+    // A zero-latency push lands on the cycle that was just drained;
+    // it comes out in the next drain, ahead of later cycles queued
+    // before it.
+    CycleWheel<int> w;
+    w.push(4, 40);
+    w.push(5, 50);
+    ASSERT_EQ(drainAll(w, 4).size(), 1u);
+    w.push(4, 41);
+    EXPECT_TRUE(w.due(4));
+
+    const auto got = drainAll(w, 5);
+    ASSERT_EQ(got.size(), 2u);
+    EXPECT_EQ(got[0].first, 4u);
+    EXPECT_EQ(got[0].second, (std::vector<int>{41}));
+    EXPECT_EQ(got[1].first, 5u);
+    EXPECT_EQ(got[1].second, (std::vector<int>{50}));
+}
+
+TEST(CycleWheel, DueOnEmptyWheelAtFarCycle)
+{
+    CycleWheel<int> w;
+    const std::uint64_t far = std::uint64_t{1} << 40;
+    EXPECT_FALSE(w.due(far));
+    // The cursor moved with the idle wheel: a push near the far cycle
+    // fits the ring as it is.
+    w.push(far + 3, 7);
+    EXPECT_FALSE(w.due(far + 2));
+    const auto got = drainAll(w, far + 3);
+    ASSERT_EQ(got.size(), 1u);
+    EXPECT_EQ(got[0].first, far + 3);
+    EXPECT_EQ(got[0].second, (std::vector<int>{7}));
 }
 
 } // namespace

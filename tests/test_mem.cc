@@ -43,6 +43,55 @@ TEST(MemImage, CrossPageAccess)
     EXPECT_EQ(m.mappedPages(), 2u);
 }
 
+// Accesses inside one page take the one-lookup path; these sit on its
+// edges and just past them.
+TEST(MemImage, AccessEndingAtPageEnd)
+{
+    MemImage m;
+    const std::uint64_t addr = 5 * MemImage::kPageSize + 4088;
+    m.write(addr, 0x0102030405060708ull, 8);
+    EXPECT_EQ(m.read(addr, 8), 0x0102030405060708ull);
+    EXPECT_EQ(m.mappedPages(), 1u);
+    EXPECT_EQ(m.readByte(addr + 7), 0x01u);
+    EXPECT_EQ(m.readByte(addr + 8), 0u);
+}
+
+TEST(MemImage, LastByteOfPage)
+{
+    MemImage m;
+    const std::uint64_t addr = 2 * MemImage::kPageSize + 4095;
+    m.write(addr, 0xabcd, 1);
+    EXPECT_EQ(m.read(addr, 1), 0xcdu);
+    EXPECT_EQ(m.mappedPages(), 1u);
+    EXPECT_EQ(m.read(addr - 1, 2), 0xcd00u);
+    EXPECT_EQ(m.read(addr, 2), 0xcdu);
+}
+
+TEST(MemImage, StraddlingReadWithOnePageMapped)
+{
+    const std::uint64_t addr = 3 * MemImage::kPageSize - 2;
+    MemImage low;
+    low.write(addr, 0xbbaa, 2); // the lower page only
+    EXPECT_EQ(low.read(addr, 4), 0xbbaau);
+    EXPECT_EQ(low.mappedPages(), 1u);
+
+    MemImage high;
+    high.write(addr + 2, 0xddcc, 2); // the upper page only
+    EXPECT_EQ(high.read(addr, 4), 0xddcc0000u);
+    EXPECT_EQ(high.mappedPages(), 1u);
+}
+
+TEST(MemImage, AccessWrapsToAddressZero)
+{
+    MemImage m;
+    const std::uint64_t addr = ~std::uint64_t{0} - 3; // 2^64 - 4
+    m.write(addr, 0x8877665544332211ull, 8);
+    EXPECT_EQ(m.read(addr, 8), 0x8877665544332211ull);
+    EXPECT_EQ(m.read(addr, 4), 0x44332211u);
+    EXPECT_EQ(m.read(0, 4), 0x88776655u);
+    EXPECT_EQ(m.mappedPages(), 2u);
+}
+
 TEST(MemImage, DeepCopyIsIndependent)
 {
     MemImage a;

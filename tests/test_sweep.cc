@@ -668,7 +668,7 @@ TEST(NamedSweeps, RegistryAndQuickSizes)
 {
     EXPECT_GE(sim::namedSweeps().size(), 5u);
 
-    const sim::SweepOptions quick{true, 1};
+    const sim::SweepOptions quick{true, 1, {}};
     // fig3 quick: 3 base runs + 3 models x 4 combos x 3 workloads.
     EXPECT_EQ(sim::sweepByName("fig3").build(quick).size(), 3u + 36u);
     // fig4 quick: 2 timings x 3 workloads.
@@ -681,7 +681,7 @@ TEST(NamedSweeps, RegistryAndQuickSizes)
 
 TEST(NamedSweeps, LabelsNameTheConfiguration)
 {
-    const sim::SweepOptions quick{true, 1};
+    const sim::SweepOptions quick{true, 1, {}};
     const auto jobs = sim::sweepByName("fig3").build(quick);
     bool saw_base = false, saw_great = false;
     for (const auto &j : jobs) {
