@@ -23,7 +23,7 @@ echo "== tier-1: ctest =="
 diff <(./build/tests/test_fuzz --gtest_list_tests) \
      <(./build/tests/test_fuzz --gtest_list_tests)
 
-echo "== tier-1: ThreadSanitizer (test_sweep, test_obs, test_cpi, test_sweepdiff) =="
+echo "== tier-1: ThreadSanitizer (test_sweep, test_obs, test_cpi, test_sweepdiff, test_shard, test_disk_cache, test_sample, test_trace) =="
 cmake -B build-tsan -S . -DVSIM_SANITIZE=thread >/dev/null
 cmake --build build-tsan -j --target test_sweep test_obs test_cpi \
     test_sweepdiff test_shard
@@ -37,10 +37,11 @@ cmake --build build-tsan -j --target test_sweep test_obs test_cpi \
 # its programs are sized for sanitizer throughput.
 ./build-tsan/tests/test_sweepdiff
 # The shard runner's worker pool hands per-shard results back across
-# threads for the ordered merge; the inline-vs-pool identity test
-# drives it end to end.
-./build-tsan/tests/test_shard \
-    --gtest_filter='ShardMerge.ParallelWorkersMatchInline'
+# threads for the ordered merge, and at finite warmup it takes each
+# snapshot from the caller's warmup pass while earlier shards run; the
+# two inline-vs-pool identity tests drive both end to end.
+./build-tsan/tests/test_shard --gtest_filter=\
+'ShardMerge.ParallelWorkersMatchInline:ShardMerge.FiniteWarmupParallelMatchesInline'
 # The disk-backed RunCache: DiskRunCache store, load and eviction,
 # the path a sweep's pool workers take on a miss. The fork-based
 # two-process test stays out: forking a threaded TSan process is
@@ -54,6 +55,13 @@ cmake --build build-tsan -j --target test_disk_cache
 cmake --build build-tsan -j --target test_sample
 ./build-tsan/tests/test_sample --gtest_filter=\
 'SampledRun.*-SampledRun.SpeedupErrorWithinBoundOnEveryKernel'
+# Trace recording and loading fold the footer digest on a helper
+# thread over a ring of record bursts; the rejection cases (defects
+# past the ring's first lap included) fail loads mid-stream, which
+# must join the helper.
+cmake --build build-tsan -j --target test_trace
+./build-tsan/tests/test_trace --gtest_filter=\
+'TraceReject.*:TraceRoundTrip.Queens:TraceWorkload.*'
 
 echo "== tier-1: Address+UB Sanitizer (core, policy, scheduler) =="
 # UBSan only prints by default; halting turns every report into a
@@ -110,11 +118,13 @@ cmake --build build-asan -j --target test_trace
 # Snapshot serialization moves raw bytes through tagged sections, and
 # the full-warmup shard merge walks every seam-coalescing path
 # (interval halves, ledger carries) over slot-indexed state — both
-# sanitizer territory. The remaining shard tests rerun whole kernels
-# many times over; ctest covers them unsanitized.
+# sanitizer territory, as is the finite-warmup pool, which frees each
+# shared snapshot after the last core restores it. The remaining shard
+# tests rerun whole kernels many times over; ctest covers them
+# unsanitized.
 cmake --build build-asan -j --target test_shard
 ./build-asan/tests/test_shard --gtest_filter=\
-'Snapshot.*:PlanShards.*:ShardMerge.FullWarmupIdenticalAcrossShardCounts:ShardMerge.ParallelWorkersMatchInline'
+'Snapshot.*:PlanShards.*:ShardMerge.FullWarmupIdenticalAcrossShardCounts:ShardMerge.ParallelWorkersMatchInline:ShardMerge.FiniteWarmupParallelMatchesInline'
 # The disk-cache codec moves raw bytes through hand-rolled buffers
 # and checksum scans — ASan/UBSan territory end to end (including the
 # corrupt/truncated eviction paths and the fork-based two-process

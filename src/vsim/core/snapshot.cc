@@ -59,10 +59,11 @@ SimSnapshot::operator==(const SimSnapshot &other) const
     return toBytes() == other.toBytes();
 }
 
-std::vector<SimSnapshot>
+void
 functionalWarmup(const assembler::Program &prog,
                  const arch::ExecTrace &trace, const CoreConfig &cfg,
-                 const std::vector<std::uint64_t> &points)
+                 const std::vector<std::uint64_t> &points,
+                 const SnapshotSink &sink)
 {
     // Mirror the detailed core's construction exactly, so the
     // serialized tables restore into it without geometry mismatches.
@@ -97,9 +98,6 @@ functionalWarmup(const assembler::Program &prog,
         return snap;
     };
 
-    std::vector<SimSnapshot> snapshots;
-    snapshots.reserve(points.size());
-
     // Fast-forward by *applying* the recorded entries to the
     // architectural state instead of re-executing them: the trace
     // already carries every destination value, effective address and
@@ -116,7 +114,7 @@ functionalWarmup(const assembler::Program &prog,
         while (nextPoint < points.size() && points[nextPoint] == i) {
             VSIM_ASSERT(st.pc == trace.entries[i].pc,
                         "warmup diverged from trace at instruction ", i);
-            snapshots.push_back(capture(st, i));
+            sink(capture(st, i));
             ++nextPoint;
         }
         if (nextPoint >= points.size())
@@ -162,9 +160,21 @@ functionalWarmup(const assembler::Program &prog,
         VSIM_ASSERT(points[nextPoint] >= trace.entries.size(),
                     "warmup ended before snapshot point ",
                     points[nextPoint]);
-        snapshots.push_back(capture(st, trace.entries.size()));
+        sink(capture(st, trace.entries.size()));
         ++nextPoint;
     }
+}
+
+std::vector<SimSnapshot>
+functionalWarmup(const assembler::Program &prog,
+                 const arch::ExecTrace &trace, const CoreConfig &cfg,
+                 const std::vector<std::uint64_t> &points)
+{
+    std::vector<SimSnapshot> snapshots;
+    snapshots.reserve(points.size());
+    functionalWarmup(prog, trace, cfg, points, [&](SimSnapshot snap) {
+        snapshots.push_back(std::move(snap));
+    });
     return snapshots;
 }
 

@@ -10,7 +10,9 @@
  * (functionalWarmup) that executes the program in order, training the
  * predictors and caches from the retired instruction stream, and
  * serializing the machine every time it crosses a requested
- * instruction boundary.
+ * instruction boundary. Each snapshot is handed to a sink the moment
+ * it is minted, so a caller can start a detailed core on it while the
+ * pass runs on towards the next boundary (the shard runner does).
  *
  * Warmup fidelity: the functional pass trains tables from the
  * *correct-path* stream only — no wrong-path fetches pollute the
@@ -29,6 +31,7 @@
 
 #include <array>
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "core_config.hh"
@@ -68,15 +71,26 @@ struct SimSnapshot
     bool operator==(const SimSnapshot &) const;
 };
 
+/** Receives each snapshot of a warmup pass, in point order. */
+using SnapshotSink = std::function<void(SimSnapshot)>;
+
 /**
  * Fast functional-warmup pass: execute @p prog in order, training the
  * predictor/cache structures that @p cfg describes from the retired
  * stream, and capture a SimSnapshot at every boundary in @p points
  * (sorted ascending, each <= trace length; a point equal to the trace
- * length snapshots the final state). The pass asserts its PC stream
- * matches @p trace, so a stale recorded trace cannot silently produce
+ * length snapshots the final state). Each snapshot goes to @p sink as
+ * soon as it is captured, on the caller's thread, and the pass stops
+ * after the last point. The pass asserts its PC stream matches
+ * @p trace, so a stale recorded trace cannot silently produce
  * snapshots of a different execution.
  */
+void functionalWarmup(const assembler::Program &prog,
+                      const arch::ExecTrace &trace, const CoreConfig &cfg,
+                      const std::vector<std::uint64_t> &points,
+                      const SnapshotSink &sink);
+
+/** The same pass, collecting the snapshots in point order. */
 std::vector<SimSnapshot> functionalWarmup(
     const assembler::Program &prog, const arch::ExecTrace &trace,
     const CoreConfig &cfg, const std::vector<std::uint64_t> &points);

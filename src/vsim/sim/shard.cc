@@ -4,6 +4,7 @@
 #include <chrono>
 #include <exception>
 #include <memory>
+#include <optional>
 #include <unordered_map>
 #include <utility>
 
@@ -110,17 +111,29 @@ secondsSince(std::chrono::steady_clock::time_point t0)
 }
 
 /**
- * Execute every plan entry as one detailed core on the worker pool
- * (cfg.shardJobs workers): mint functional-warmup snapshots for the
- * distinct nonzero warmStart points, run each [start, stop) window,
- * and surface the first worker exception on the caller. @p what labels
- * the progress lines ("shard" or "sample rep").
+ * Execute every plan entry as one detailed core and surface the first
+ * worker exception on the caller. A plan with warmStart 0 starts from
+ * the program's initial state; the others start from functional-warmup
+ * snapshots of their distinct warmStart points, minted in one pass on
+ * the caller's thread.
+ *
+ * With a pool (cfg.shardJobs workers and more than one plan), the
+ * warmup overlaps the detailed cores: cold plans are submitted at
+ * once, and each warm plan the moment its snapshot is minted, so the
+ * workers run while the caller warms up towards the next point. Inline
+ * (one worker), the warmup runs first and the plans then run in order.
+ * Either way each result lands at its plan index, so the merge does
+ * not depend on the schedule, and a snapshot is freed once the last
+ * core that starts from it has restored it. @p what labels the
+ * progress lines ("shard" or "sample rep"), which give times as
+ * offsets from the call.
  */
 std::vector<ShardResult>
 executePlans(const core::CoreConfig &cfg, const assembler::Program &prog,
              const std::shared_ptr<const arch::ExecTrace> &trace,
              const std::vector<ShardPlan> &plan, const char *what)
 {
+    const auto t0 = std::chrono::steady_clock::now();
     const std::size_t n = plan.size();
     const std::uint64_t len = trace->entries.size();
 
@@ -132,38 +145,25 @@ executePlans(const core::CoreConfig &cfg, const assembler::Program &prog,
     points.erase(std::unique(points.begin(), points.end()),
                  points.end());
 
-    std::vector<core::SimSnapshot> snaps;
-    if (!points.empty()) {
-        const auto t0 = std::chrono::steady_clock::now();
-        snaps = core::functionalWarmup(prog, *trace, cfg, points);
-        VSIM_INFORM(what, " warmup: ", points.size(),
-                    " snapshot(s) of ", len, " insts in ",
-                    secondsSince(t0), "s");
-    }
-    auto snapshotFor = [&](std::uint64_t point) -> const core::SimSnapshot & {
-        const auto it =
-            std::lower_bound(points.begin(), points.end(), point);
-        VSIM_ASSERT(it != points.end() && *it == point,
-                    "no snapshot captured for warmStart ", point);
-        return snaps[static_cast<std::size_t>(it - points.begin())];
-    };
-
+    using Snapshot = std::shared_ptr<const core::SimSnapshot>;
     std::vector<ShardResult> results(n);
-    auto runShard = [&](std::size_t i) {
+    auto runShard = [&](std::size_t i, Snapshot snap) {
         ShardResult &r = results[i];
         try {
-            const auto t0 = std::chrono::steady_clock::now();
+            const double startedAt = secondsSince(t0);
+            const auto t1 = std::chrono::steady_clock::now();
             core::OooCore core(prog, trace, cfg);
-            if (plan[i].warmStart > 0)
-                core.startFromSnapshot(snapshotFor(plan[i].warmStart));
+            if (snap)
+                core.startFromSnapshot(*snap);
+            snap.reset();
             core.setRunWindow(plan[i].start, plan[i].stop);
             r.out = core.run();
             r.cutCycle = core.statsCutCycle();
-            r.wallSeconds = secondsSince(t0);
+            r.wallSeconds = secondsSince(t1);
             VSIM_INFORM(what, " ", i + 1, "/", n, " [", plan[i].start,
                         ",", plan[i].stop, ") warm=", plan[i].warmStart,
-                        ": cycles=", r.out.stats.cycles, " wall=",
-                        r.wallSeconds, "s");
+                        ": start=", startedAt, "s cycles=",
+                        r.out.stats.cycles, " wall=", r.wallSeconds, "s");
         } catch (...) {
             // Pool tasks must not throw; surface on the caller.
             r.error = std::current_exception();
@@ -172,14 +172,45 @@ executePlans(const core::CoreConfig &cfg, const assembler::Program &prog,
 
     const int jobs = cfg.shardJobs <= 0 ? ThreadPool::defaultThreadCount()
                                         : cfg.shardJobs;
-    if (n > 1 && jobs > 1) {
-        ThreadPool pool(jobs);
-        for (std::size_t i = 0; i < n; ++i)
-            pool.submit([&runShard, i] { runShard(i); });
-        pool.wait();
+    // Declared after everything its tasks use, so that an exception
+    // on the caller drains and joins it before those go away.
+    std::optional<ThreadPool> pool;
+    if (n > 1 && jobs > 1)
+        pool.emplace(jobs);
+    std::vector<Snapshot> inlineSnap(n);
+    auto ready = [&](std::size_t i, Snapshot snap) {
+        if (pool)
+            pool->submit([&runShard, i, snap]() mutable {
+                runShard(i, std::move(snap));
+            });
+        else
+            inlineSnap[i] = std::move(snap);
+    };
+
+    for (std::size_t i = 0; i < n; ++i)
+        if (plan[i].warmStart == 0)
+            ready(i, nullptr);
+    if (!points.empty()) {
+        std::size_t minted = 0;
+        core::functionalWarmup(
+            prog, *trace, cfg, points, [&](core::SimSnapshot s) {
+                const std::uint64_t point = points[minted++];
+                const Snapshot snap =
+                    std::make_shared<const core::SimSnapshot>(
+                        std::move(s));
+                for (std::size_t i = 0; i < n; ++i)
+                    if (plan[i].warmStart == point)
+                        ready(i, snap);
+            });
+        VSIM_INFORM(what, " warmup: ", points.size(),
+                    " snapshot(s) of ", len, " insts, the last at ",
+                    secondsSince(t0), "s");
+    }
+    if (pool) {
+        pool->wait();
     } else {
         for (std::size_t i = 0; i < n; ++i)
-            runShard(i);
+            runShard(i, std::move(inlineSnap[i]));
     }
     for (ShardResult &r : results)
         if (r.error)

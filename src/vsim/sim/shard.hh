@@ -12,6 +12,16 @@
  * otherwise — runs a discarded warmup prefix until `start`
  * instructions have retired, then counts statistics until `stop`.
  *
+ * Schedule: one functional-warmup pass on the caller's thread mints
+ * every snapshot in trace order. On a pool (more than one worker),
+ * shards starting at instruction 0 are submitted at once and every
+ * other shard the moment its snapshot is minted, so `--jobs N` runs N
+ * detailed cores beside the warmup thread. With one worker the warmup
+ * runs first and the shards then run in order. Results are merged by
+ * shard index, so the schedule never shows in a result, and each
+ * snapshot is freed once the last core starting from it has restored
+ * it.
+ *
  * Exactness (documented error bounds in DESIGN.md):
  *
  *  - W = UINT64_MAX (full warmup, the default): every shard replays

@@ -7,9 +7,11 @@
 #include <algorithm>
 #include <bit>
 #include <cerrno>
+#include <condition_variable>
 #include <cstring>
 #include <map>
 #include <mutex>
+#include <thread>
 
 #include "vsim/base/logging.hh"
 
@@ -25,7 +27,116 @@ constexpr std::size_t kBurstRecords = 4096;
 /** Chunk size for whole-file hashing (a multiple of the 32-byte stripe). */
 constexpr std::size_t kChunkBytes = 256 * 1024;
 
+/** Bursts the digest ring holds (1.5 MiB of records). */
+constexpr std::size_t kRingSlots = 8;
+
 } // namespace
+
+// --------------------------------------------------------------------
+// BurstDigest
+
+/**
+ * The payload's FNV-1a, folded over record bursts on one helper
+ * thread. FNV-1a is a serial multiply chain, so folding it beside the
+ * producer takes it off the critical path. The producer fills ring
+ * slots in turn: acquire() returns the next slot once the helper has
+ * digested what it held last, and publish() hands the filled slot to
+ * the helper. A published slot may still be read by the producer (the
+ * reader checks and decodes a burst while it is digested) but not
+ * written. finish() folds every published burst and joins the helper;
+ * the destructor joins it on every other path.
+ */
+class BurstDigest
+{
+  public:
+    explicit BurstDigest(std::uint64_t seed)
+        : slots(kRingSlots * kBurstRecords), digest(seed),
+          helper([this] { fold(); })
+    {}
+
+    ~BurstDigest() { stop(); }
+
+    BurstDigest(const BurstDigest &) = delete;
+    BurstDigest &operator=(const BurstDigest &) = delete;
+
+    /** The next slot to fill, once its previous burst is digested. */
+    TraceRecord *
+    acquire()
+    {
+        std::unique_lock<std::mutex> lock(mtx);
+        folded.wait(lock,
+                    [this] { return published - digested < kRingSlots; });
+        return &slots[published % kRingSlots * kBurstRecords];
+    }
+
+    /** Hand the slot from acquire(), holding @p records, to the helper. */
+    void
+    publish(std::size_t records)
+    {
+        {
+            std::lock_guard<std::mutex> lock(mtx);
+            sizes[published % kRingSlots] = records;
+            ++published;
+        }
+        work.notify_one();
+    }
+
+    /** The digest of the seed and every published burst, in order. */
+    std::uint64_t
+    finish()
+    {
+        stop();
+        return digest;
+    }
+
+  private:
+    void
+    stop()
+    {
+        if (!helper.joinable())
+            return;
+        {
+            std::lock_guard<std::mutex> lock(mtx);
+            closing = true;
+        }
+        work.notify_one();
+        helper.join();
+    }
+
+    /** Helper thread: fold published bursts until closed and drained. */
+    void
+    fold()
+    {
+        std::uint64_t h = digest;
+        std::unique_lock<std::mutex> lock(mtx);
+        for (;;) {
+            work.wait(lock,
+                      [this] { return closing || digested < published; });
+            if (digested == published)
+                break;
+            const std::size_t slot = digested % kRingSlots;
+            const std::size_t records = sizes[slot];
+            lock.unlock();
+            h = fnv1a(&slots[slot * kBurstRecords],
+                      records * sizeof(TraceRecord), h);
+            lock.lock();
+            ++digested;
+            folded.notify_one();
+        }
+        digest = h; // read by finish() after the join
+    }
+
+    std::vector<TraceRecord> slots;
+    std::size_t sizes[kRingSlots] = {}; //!< records per published slot
+    std::uint64_t published = 0;        //!< bursts handed over
+    std::uint64_t digested = 0;         //!< bursts folded
+    bool closing = false;
+    std::uint64_t digest;
+    std::mutex mtx;
+    std::condition_variable work;   //!< a burst was published, or closing
+    std::condition_variable folded; //!< a burst was digested
+    std::thread helper; //!< last member: starts after the rest exist
+};
 
 TraceRecord
 makeRecord(const arch::TraceEntry &entry)
@@ -83,16 +194,17 @@ TraceWriter::TraceWriter(const std::string &path_,
     // Header first (recordCount = kUnfinalized until finalize()),
     // then the static image; the payload digest starts at the image.
     put(&hdr, sizeof(hdr));
+    std::uint64_t seed = kFnvOffset;
     if (!prog.text.empty()) {
         const std::uint64_t bytes = 4ull * prog.text.size();
         put(prog.text.data(), bytes);
-        digest = fnv1a(prog.text.data(), bytes, digest);
+        seed = fnv1a(prog.text.data(), bytes, seed);
     }
     if (!prog.data.empty()) {
         put(prog.data.data(), prog.data.size());
-        digest = fnv1a(prog.data.data(), prog.data.size(), digest);
+        seed = fnv1a(prog.data.data(), prog.data.size(), seed);
     }
-    buffer.reserve(kBurstRecords);
+    ring = std::make_unique<BurstDigest>(seed);
 }
 
 TraceWriter::~TraceWriter()
@@ -113,21 +225,22 @@ TraceWriter::put(const void *bytes, std::uint64_t len)
 void
 TraceWriter::flushBuffer()
 {
-    if (buffer.empty())
+    if (filled == 0)
         return;
-    const std::uint64_t bytes = buffer.size() * sizeof(TraceRecord);
-    put(buffer.data(), bytes);
-    digest = fnv1a(buffer.data(), bytes, digest);
-    buffer.clear();
+    ring->publish(filled);
+    put(slot, filled * sizeof(TraceRecord));
+    filled = 0;
 }
 
 void
 TraceWriter::append(const TraceRecord &rec)
 {
     VSIM_ASSERT(!finalized, "append after finalize");
-    buffer.push_back(rec);
+    if (filled == 0)
+        slot = ring->acquire();
+    slot[filled++] = rec;
     ++count;
-    if (buffer.size() >= kBurstRecords)
+    if (filled == kBurstRecords)
         flushBuffer();
 }
 
@@ -137,13 +250,12 @@ TraceWriter::finalize(const std::string &output, std::uint64_t exit_code)
     VSIM_ASSERT(!finalized, "trace finalized twice");
     flushBuffer();
 
+    TraceFooter footer;
+    footer.digest = ring->finish();
     if (!output.empty()) {
         put(output.data(), output.size());
-        digest = fnv1a(output.data(), output.size(), digest);
+        footer.digest = fnv1a(output.data(), output.size(), footer.digest);
     }
-
-    TraceFooter footer;
-    footer.digest = digest;
     put(&footer, sizeof(footer));
 
     hdr.outputBytes = static_cast<std::uint32_t>(output.size());
@@ -352,7 +464,7 @@ TraceReader::TraceReader(const std::string &path)
                    expected, " (truncated or corrupt): ", path);
     }
 
-    std::uint64_t digest = kFnvOffset;
+    std::uint64_t seed = kFnvOffset;
 
     assembler::Program &prog = loaded.program;
     prog.textBase = hdr.textBase;
@@ -361,37 +473,35 @@ TraceReader::TraceReader(const std::string &path)
     prog.entry = hdr.entry;
     prog.text.resize(hdr.textWords);
     in.read(prog.text.data(), 4ull * hdr.textWords);
-    digest = fnv1a(prog.text.data(), 4ull * hdr.textWords, digest);
+    seed = fnv1a(prog.text.data(), 4ull * hdr.textWords, seed);
     if (hdr.dataBytes) {
         prog.data.resize(hdr.dataBytes);
         in.read(prog.data.data(), hdr.dataBytes);
-        digest = fnv1a(prog.data.data(), hdr.dataBytes, digest);
+        seed = fnv1a(prog.data.data(), hdr.dataBytes, seed);
     }
 
-    // The records, one burst at a time: digest, check, decode. Each
-    // record must be a decodable instruction, the correct path must
-    // chain (record i's target is record i+1's pc, across burst seams
-    // too), and only the last record may be (and must be) a HALT. The
-    // first defect is held back until the digest has been checked, so
-    // the records after it are only digested.
+    // The records, one burst at a time: each burst is read once into a
+    // ring slot, handed to the digest helper, then checked and decoded
+    // here while the helper folds it. Each record must be a decodable
+    // instruction, the correct path must chain (record i's target is
+    // record i+1's pc, across burst seams too), and only the last
+    // record may be (and must be) a HALT. The first defect is held
+    // back until the digest has been checked, so the records after it
+    // are only digested.
     arch::ExecTrace &trace = loaded.trace;
     trace.entries.reserve(hdr.recordCount);
-    std::vector<TraceRecord> burst_buf(
-        std::min<std::uint64_t>(kBurstRecords, hdr.recordCount));
+    BurstDigest ring(seed);
     const char *defect = nullptr;
     std::uint64_t defect_index = 0;
     std::uint64_t prev_target = 0;
     for (std::uint64_t done = 0; done < hdr.recordCount;) {
         const std::uint64_t burst =
             std::min<std::uint64_t>(kBurstRecords, hdr.recordCount - done);
-        in.read(burst_buf.data(), burst * sizeof(TraceRecord));
-        for (std::uint64_t j = 0; j < burst; ++j) {
-            const TraceRecord &rec = burst_buf[j];
-            // Digesting record by record lets the checks and the decode
-            // below run in the shadow of FNV-1a's serial multiply chain.
-            digest = fnv1a(&rec, sizeof rec, digest);
-            if (defect)
-                continue;
+        TraceRecord *slot = ring.acquire();
+        in.read(slot, burst * sizeof(TraceRecord));
+        ring.publish(burst);
+        for (std::uint64_t j = 0; j < burst && !defect; ++j) {
+            const TraceRecord &rec = slot[j];
             const std::uint64_t i = done + j;
             if (i > 0 && rec.pc != prev_target) {
                 defect = "correct path does not chain to the next record";
@@ -416,6 +526,7 @@ TraceReader::TraceReader(const std::string &path)
         done += burst;
     }
 
+    std::uint64_t digest = ring.finish();
     if (hdr.outputBytes) {
         trace.output.resize(hdr.outputBytes);
         in.read(trace.output.data(), hdr.outputBytes);

@@ -6,7 +6,10 @@
  * validates the whole file strictly in one streaming pass — magic,
  * version, structure sizes, exact file length (truncation / trailing
  * garbage), record sanity and the footer digest — before handing
- * anything to the timing core. Every I/O or validation failure raises
+ * anything to the timing core. Both fold the byte-serial FNV-1a footer
+ * digest on one helper thread, over the same record bursts they write
+ * or decode, so the digest runs beside the recording or the decode
+ * instead of after it. Every I/O or validation failure raises
  * vsim::FatalError so tools exit nonzero instead of replaying junk.
  */
 
@@ -15,6 +18,7 @@
 
 #include <cstdint>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -32,12 +36,18 @@ TraceRecord makeRecord(const arch::TraceEntry &entry);
 /** Convert one validated file record back to a functional entry. */
 arch::TraceEntry makeEntry(const TraceRecord &rec);
 
+/** Ring of record bursts whose FNV-1a a helper thread folds. */
+class BurstDigest;
+
 /**
  * Streaming trace generator. Construct with the program's static
  * image, append() each dynamic record as the functional core retires
- * it, then finalize() with the program's output and exit code. A
- * writer that is destroyed without finalize() leaves recordCount as
- * kUnfinalized on disk, which the reader rejects.
+ * it, then finalize() with the program's output and exit code. Records
+ * collect in 4096-record bursts; each full burst is written and handed
+ * to the digest helper, and the caller fills the next ring slot
+ * meanwhile. A writer that is destroyed without finalize() joins the
+ * helper and leaves recordCount as kUnfinalized on disk, which the
+ * reader rejects.
  */
 class TraceWriter
 {
@@ -62,9 +72,10 @@ class TraceWriter
     std::string path;
     std::ofstream out;
     TraceHeader hdr;
-    std::vector<TraceRecord> buffer; //!< pending records (buffered I/O)
+    std::unique_ptr<BurstDigest> ring; //!< payload FNV-1a helper
+    TraceRecord *slot = nullptr; //!< burst being filled (a ring slot)
+    std::size_t filled = 0;      //!< records in *slot
     std::uint64_t count = 0;
-    std::uint64_t digest = kFnvOffset; //!< running payload FNV-1a
     bool finalized = false;
 };
 
@@ -78,20 +89,25 @@ struct LoadedTrace
 /**
  * Validating trace loader. The constructor checks the header and the
  * exact file length, then makes one streaming pass over the payload:
- * each burst of up to 4096 records is read into a fixed buffer, folded
- * into the FNV-1a footer digest, checked record by record (decodable
- * instruction, pc inside the text image, pc->target chaining carried
- * across burst seams, HALT only at the end) and decoded straight into
- * the trace's entries, which are reserved once from the header's
- * recordCount. No copy of the raw records is ever held, so peak memory
- * is the decoded trace itself (~40 B per instruction) plus one burst.
+ * each burst of up to 4096 records is read once into a slot of an
+ * 8-burst ring and handed to a helper thread that folds it into the
+ * FNV-1a footer digest, while the caller checks it record by record
+ * (decodable instruction, pc inside the text image, pc->target
+ * chaining carried across burst seams, HALT only at the end) and
+ * decodes it straight into the trace's entries, which are reserved
+ * once from the header's recordCount. A slot is refilled only after
+ * the helper has digested it, so the digest covers exactly the bytes
+ * that were decoded, and the file is never read twice. No copy of the
+ * raw records is ever held, so peak memory is the decoded trace itself
+ * (~40 B per instruction) plus the ring.
  *
  * Nothing is returned before the footer digest and the whole-trace
  * checks (first record at the entry point, HALT target) pass. A digest
  * mismatch takes precedence over a record defect, so a corrupted file
  * is reported as corrupt rather than by the first bad field it
  * happens to produce. Non-regular paths (directories, FIFOs) are
- * rejected up front. Every defect raises vsim::FatalError.
+ * rejected up front. Every defect raises vsim::FatalError, and the
+ * helper thread is joined on every path.
  */
 class TraceReader
 {

@@ -22,6 +22,7 @@
 #include "vsim/core/core_stats.hh"
 #include "vsim/core/mask_ops.hh"
 #include "vsim/obs/registry.hh"
+#include "vsim/sim/disk_cache.hh"
 #include "vsim/sim/sample.hh"
 #include "vsim/sim/shard.hh"
 #include "vsim/sim/simulator.hh"
@@ -327,6 +328,31 @@ TEST(SampledRun, DeterministicAcrossJobsAndSweepKinds)
         EXPECT_EQ(a.intervals, b.intervals);
         EXPECT_FALSE(a.intervals.samples.empty());
     }
+}
+
+/**
+ * Jobs 1 warms up and then runs the representatives in order; jobs 4
+ * starts each one as its snapshot is minted. The merged ledger records
+ * must match record for record, and every other byte of the result
+ * too.
+ */
+TEST(SampledRun, LedgerIdenticalAcrossJobs)
+{
+    core::CoreConfig cfg = vpSampleConfig();
+    cfg.sampleK = 4;
+    cfg.sampleIntervalInsts = 20000;
+    cfg.metricsInterval = 5000;
+    cfg.specLedger = true;
+    cfg.shardJobs = 1;
+    const sim::RunResult a = sim::runWorkload("queens", -1, cfg);
+    cfg.shardJobs = 4;
+    const sim::RunResult b = sim::runWorkload("queens", -1, cfg);
+    ASSERT_FALSE(a.ledger.records.empty());
+    EXPECT_EQ(a.ledger, b.ledger);
+    StateWriter wa, wb;
+    sim::saveRunResult(wa, a);
+    sim::saveRunResult(wb, b);
+    EXPECT_EQ(wa.take(), wb.take());
 }
 
 TEST(SampledRun, ArchitecturalOutcomeIsExact)

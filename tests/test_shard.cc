@@ -6,8 +6,9 @@
  * partition arithmetic, bit-identity of full-warmup shard merges
  * against the monolithic run (stats, interval series and the
  * speculation ledger, across every kernel, both sweep kinds and
- * trace replay), the finite-warmup error bound, and the RunCache
- * jobKey salting of the new partition knobs.
+ * trace replay), the finite-warmup error bound and inline-vs-pool
+ * identity, and the RunCache jobKey salting of the new partition
+ * knobs.
  */
 
 #include <gtest/gtest.h>
@@ -20,6 +21,7 @@
 #include "vsim/base/logging.hh"
 #include "vsim/core/ooo_core.hh"
 #include "vsim/core/snapshot.hh"
+#include "vsim/sim/disk_cache.hh"
 #include "vsim/sim/shard.hh"
 #include "vsim/sim/simulator.hh"
 #include "vsim/sim/sweep.hh"
@@ -257,6 +259,35 @@ TEST(ShardMerge, ParallelWorkersMatchInline)
 }
 
 // ---- finite warmup ------------------------------------------------------
+
+/** A RunResult's disk-cache encoding: every byte a cached run keeps. */
+std::vector<std::uint8_t>
+encoded(const sim::RunResult &r)
+{
+    StateWriter w;
+    sim::saveRunResult(w, r);
+    return w.take();
+}
+
+/**
+ * At finite warmup the pool starts each shard the moment its snapshot
+ * is minted, while the caller is still warming up towards the next
+ * one; the inline path warms up first and then runs the shards in
+ * order. Both must give the same result, byte for byte.
+ */
+TEST(ShardMerge, FiniteWarmupParallelMatchesInline)
+{
+    core::CoreConfig inline_cfg = vpShardConfig();
+    inline_cfg.shards = 4;
+    inline_cfg.warmupInsts = 20000;
+    inline_cfg.shardJobs = 1;
+    const sim::RunResult a = sim::runWorkload("queens", 1, inline_cfg);
+    ASSERT_FALSE(a.ledger.records.empty());
+    core::CoreConfig pool_cfg = inline_cfg;
+    pool_cfg.shardJobs = 4;
+    EXPECT_EQ(encoded(sim::runWorkload("queens", 1, pool_cfg)),
+              encoded(a));
+}
 
 TEST(ShardMerge, FiniteWarmupStaysWithinErrorBound)
 {

@@ -539,6 +539,122 @@ TEST_F(TraceReject, HaltlessTail)
                    "trace does not end in HALT");
 }
 
+/**
+ * Defects past the loader's first lap of its digest ring. The ring
+ * holds 8 bursts of 4096 records, so a record beyond 9 * 4096 sits in a
+ * slot that has been refilled since the helper digested it. Each defect
+ * is reported exactly as it is in an early burst, and the failed load
+ * joins its digest helper: a thread left unjoined would end the whole
+ * test process.
+ */
+constexpr std::uint64_t kPastRingLap = 9 * 4096;
+
+TEST_F(TraceReject, CorruptPayloadAfterRingWraps)
+{
+    auto bytes = readAll(validTrace());
+    const std::uint64_t index = kPastRingLap + 4096 + 123;
+    ASSERT_GT(recordCount(bytes), index);
+    bytes[recordOffset(bytes, index) + 8] ^= 0x01; // TraceRecord::value
+    expectRejected("payload_wrapped", std::move(bytes), "digest mismatch");
+}
+
+/** A chain break at a burst seam, with both sides in refilled slots. */
+TEST_F(TraceReject, ChainBreakAfterRingWraps)
+{
+    auto bytes = readAll(validTrace());
+    const std::uint64_t index = kPastRingLap + 3 * 4096 - 1;
+    ASSERT_GT(recordCount(bytes), index + 1);
+    trace::TraceRecord rec;
+    const std::uint64_t off = recordOffset(bytes, index);
+    std::memcpy(&rec, bytes.data() + off, sizeof rec);
+    rec.target += 4;
+    rec.taken = rec.target != rec.pc + 4 ? 1 : 0;
+    std::memcpy(bytes.data() + off, &rec, sizeof rec);
+    resealDigest(bytes);
+    expectRejected("chain_wrapped", std::move(bytes),
+                   "record #" + std::to_string(index) + " in "
+                       + tmpPath("reject_chain_wrapped")
+                       + ": correct path does not chain");
+}
+
+TEST_F(TraceReject, DigestMismatchOutranksRecordDefectAfterRingWraps)
+{
+    auto bytes = readAll(validTrace());
+    const std::uint64_t index = kPastRingLap + 11 * 4096 + 7;
+    ASSERT_GT(recordCount(bytes), index);
+    bytes[recordOffset(bytes, index) + 36] = '\xff'; // TraceRecord::op
+    expectRejected("bad_op_wrapped_unsealed", bytes, "digest mismatch");
+    resealDigest(bytes);
+    expectRejected("bad_op_wrapped_sealed", std::move(bytes),
+                   "record #" + std::to_string(index) + " in "
+                       + tmpPath("reject_bad_op_wrapped_sealed")
+                       + ": opcode out of range");
+}
+
+/**
+ * A trace whose record count is an exact multiple of the 4096-record
+ * burst, so its last burst is full and ends a ring lap's slot exactly:
+ * the valid file loads whole, and a flipped byte in its very last
+ * record is still digested. The file is the queens trace cut to 10
+ * bursts, ending in a HALT record placed where the cut path continues.
+ */
+TEST_F(TraceReject, RecordCountMultipleOfBurst)
+{
+    const auto bytes = readAll(validTrace());
+    const std::uint64_t n = recordCount(bytes);
+    const std::uint64_t count = 10 * 4096;
+    ASSERT_GT(n, count);
+    trace::TraceRecord prev, halt;
+    std::memcpy(&prev, bytes.data() + recordOffset(bytes, count - 2),
+                sizeof prev);
+    std::memcpy(&halt, bytes.data() + recordOffset(bytes, n - 1),
+                sizeof halt);
+    ASSERT_EQ(halt.op, static_cast<std::uint8_t>(isa::Op::HALT));
+    halt.pc = prev.target;
+    halt.target = halt.pc;
+    halt.taken = 1;
+
+    std::vector<char> cut(bytes.begin(),
+                          bytes.begin()
+                              + static_cast<std::ptrdiff_t>(
+                                  recordOffset(bytes, count - 1)));
+    const char *raw = reinterpret_cast<const char *>(&halt);
+    cut.insert(cut.end(), raw, raw + sizeof halt);
+    cut.insert(cut.end(),
+               bytes.begin()
+                   + static_cast<std::ptrdiff_t>(recordOffset(bytes, n)),
+               bytes.end());
+    std::memcpy(cut.data() + trace::kRecordCountOffset, &count,
+                sizeof count);
+    resealDigest(cut);
+
+    const std::string path = writeVariant("burst_multiple", cut);
+    const trace::LoadedTrace loaded = trace::loadTrace(path);
+    ASSERT_EQ(loaded.trace.entries.size(), count);
+    EXPECT_EQ(loaded.trace.entries.back().inst.op, isa::Op::HALT);
+    EXPECT_EQ(loaded.trace.entries.back().pc, prev.target);
+    std::remove(path.c_str());
+
+    cut[recordOffset(cut, count - 1) + 8] ^= 0x01; // TraceRecord::value
+    expectRejected("burst_multiple_flipped", std::move(cut),
+                   "digest mismatch");
+}
+
+/**
+ * Recording folds the footer digest on a helper thread; the file must
+ * stay byte-identical to the one the inline digest wrote. Pinned to
+ * the XXH64 of compress at scale 1 as recorded before the helper
+ * existed, so any change to the bytes on disk shows here.
+ */
+TEST(TraceWriter, RecordedBytesArePinned)
+{
+    const std::string path = tmpPath("pinned_compress");
+    trace::recordTrace(
+        workloads::buildProgram(workloads::byName("compress"), 1), path);
+    EXPECT_EQ(trace::traceFileHash(path), 0x7049a17c630369cbull);
+    std::remove(path.c_str());
+}
+
 /** The RunCache content hash, on the rejection fixture's helpers. */
 class TraceHash : public TraceReject
 {};
@@ -595,6 +711,24 @@ TEST_F(TraceReject, WriterRefusesUnwritablePath)
     EXPECT_THROW(
         trace::recordTrace(prog, "/nonexistent-dir/queens.vst"),
         FatalError);
+}
+
+/**
+ * A recording cut off at its instruction limit throws from mid-stream,
+ * past the writer's first ring lap: the digest helper is joined (a
+ * thread left unjoined would end the test process), and the file it
+ * leaves behind is rejected as unfinalized.
+ */
+TEST_F(TraceReject, RecordingCutAtInstructionLimit)
+{
+    const auto prog =
+        workloads::buildProgram(workloads::byName("queens"), 1);
+    const std::string path = tmpPath("reject_cut_recording");
+    EXPECT_THROW(trace::recordTrace(prog, path, kPastRingLap + 1000),
+                 FatalError);
+    EXPECT_NE(rejection(path).find("unfinalized trace"), std::string::npos)
+        << rejection(path);
+    std::remove(path.c_str());
 }
 
 // ---------------------------------------------------------------------
