@@ -28,7 +28,9 @@ cmake -B build-tsan -S . -DVSIM_SANITIZE=thread >/dev/null
 cmake --build build-tsan -j --target test_sweep test_obs test_cpi \
     test_sweepdiff test_shard
 # Includes SharedKernel.*: the kernel memo's mutexes and the weak_ptr
-# hand-off of one pre-executed trace across pool workers.
+# hand-off of one pre-executed trace across pool workers; and
+# SweepPlan.*: kernel builds as pool tasks, then cells dropping the
+# sweep's pins from whichever worker finishes a kernel last.
 ./build-tsan/tests/test_sweep
 ./build-tsan/tests/test_obs
 # CPI-stack / ledger identity across worker counts runs a real pool.
@@ -63,7 +65,7 @@ cmake --build build-tsan -j --target test_trace
 ./build-tsan/tests/test_trace --gtest_filter=\
 'TraceReject.*:TraceRoundTrip.Queens:TraceWorkload.*'
 
-echo "== tier-1: Address+UB Sanitizer (core, policy, scheduler) =="
+echo "== tier-1: Address+UB Sanitizer (core, policy, scheduler, sweep) =="
 # UBSan only prints by default; halting turns every report into a
 # failed test.
 export UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1
@@ -71,7 +73,7 @@ cmake -B build-asan -S . -DVSIM_SANITIZE=address,undefined >/dev/null
 cmake --build build-asan -j --target \
     test_core_base test_core_vspec test_core_misc test_core_xprod \
     test_policy test_event_queue test_scheduler test_sweepdiff test_cpi \
-    test_fuzz test_vpred test_mask_width test_mem
+    test_fuzz test_vpred test_mask_width test_mem test_sweep
 ./build-asan/tests/test_core_base
 ./build-asan/tests/test_core_vspec
 ./build-asan/tests/test_core_misc
@@ -94,6 +96,10 @@ cmake --build build-asan -j --target \
 # MemImage's one-lookup path indexes a page by offset: accesses that
 # end at a page end, straddle a page or wrap past 2^64 sit on its edge.
 ./build-asan/tests/test_mem
+# A sweep pins each kernel it builds and drops the pin after the
+# kernel's last cell, while cores may still hold aliasing handles into
+# its trace: a lifetime question ASan answers directly.
+./build-asan/tests/test_sweep
 # The full cross product is covered (without sanitizers) by ctest;
 # under ASan run the regression slice plus the speculative
 # memory-resolution slice (memDeps bookkeeping is exactly the kind of

@@ -313,6 +313,13 @@ DiskRunCache::load(const std::string &key, RunResult &out)
     return true;
 }
 
+bool
+DiskRunCache::contains(const std::string &key) const
+{
+    std::error_code ec;
+    return fs::exists(entryPath(key), ec);
+}
+
 void
 DiskRunCache::store(const std::string &key, const RunResult &result)
 {

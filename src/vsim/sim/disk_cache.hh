@@ -79,6 +79,13 @@ class DiskRunCache
     bool load(const std::string &key, RunResult &out);
 
     /**
+     * True when an entry file for @p key exists. A key-existence
+     * probe only: it reads nothing, so an entry that load() would
+     * reject (corrupt, or a colliding key) still answers true.
+     */
+    bool contains(const std::string &key) const;
+
+    /**
      * Persist @p result under @p key (atomic temp-file + rename).
      * Failures are warned about, never fatal: a full disk degrades the
      * cache to a no-op, it does not kill the sweep.

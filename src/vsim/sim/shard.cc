@@ -13,8 +13,6 @@
 #include "vsim/base/thread_pool.hh"
 #include "vsim/core/ooo_core.hh"
 #include "vsim/core/snapshot.hh"
-#include "vsim/trace/trace_io.hh"
-#include "vsim/workloads/workloads.hh"
 
 namespace vsim::sim
 {
@@ -357,23 +355,16 @@ RunResult
 ShardRunner::run(const std::string &workload, int scale)
 {
     validatePartition(cfg);
-    // Materialise the program and the oracle trace once; every shard
-    // core borrows the (potentially multi-gigabyte) trace via
-    // shared_ptr instead of copying it.
-    assembler::Program prog;
-    std::shared_ptr<const arch::ExecTrace> trace;
-    if (isTraceWorkload(workload)) {
-        trace::LoadedTrace loaded =
-            trace::loadTrace(traceWorkloadPath(workload));
-        prog = std::move(loaded.program);
-        trace = std::make_shared<const arch::ExecTrace>(
-            std::move(loaded.trace));
-    } else {
-        const workloads::Workload &w = workloads::byName(workload);
-        prog = workloads::buildProgram(w, scale);
-        trace = std::make_shared<const arch::ExecTrace>(
-            arch::preExecute(prog));
-    }
+    // One program and oracle trace for every shard: a built-in kernel
+    // is the shared one (a sweep's sharded cells use the kernel it
+    // pinned), and each shard core borrows the (potentially
+    // multi-gigabyte) trace through an aliasing handle instead of
+    // copying it.
+    const std::shared_ptr<const BuiltKernel> kernel =
+        workloadKernel(workload, scale);
+    const assembler::Program &prog = kernel->program;
+    const std::shared_ptr<const arch::ExecTrace> trace(kernel,
+                                                       &kernel->trace);
     const std::uint64_t len = trace->entries.size();
 
     if (samplingRequested(cfg))

@@ -1,5 +1,6 @@
 #include "simulator.hh"
 
+#include <atomic>
 #include <map>
 #include <mutex>
 #include <utility>
@@ -73,6 +74,13 @@ traceWorkloadPath(const std::string &name)
     return name.substr(sizeof(kTraceWorkloadPrefix) - 1);
 }
 
+namespace
+{
+
+std::atomic<std::uint64_t> kernelBuilds{0};
+
+} // namespace
+
 std::shared_ptr<const BuiltKernel>
 sharedKernel(const std::string &name, int scale)
 {
@@ -97,6 +105,25 @@ sharedKernel(const std::string &name, int scale)
     k->program = workloads::buildProgram(w, scale);
     k->trace = arch::preExecute(k->program);
     entry.kernel = k;
+    kernelBuilds.fetch_add(1, std::memory_order_relaxed);
+    return k;
+}
+
+std::uint64_t
+sharedKernelBuilds()
+{
+    return kernelBuilds.load(std::memory_order_relaxed);
+}
+
+std::shared_ptr<const BuiltKernel>
+workloadKernel(const std::string &name, int scale)
+{
+    if (!isTraceWorkload(name))
+        return sharedKernel(name, scale);
+    trace::LoadedTrace loaded = trace::loadTrace(traceWorkloadPath(name));
+    auto k = std::make_shared<BuiltKernel>();
+    k->program = std::move(loaded.program);
+    k->trace = std::move(loaded.trace);
     return k;
 }
 
@@ -107,14 +134,7 @@ core::SimOutcome
 simulate(const std::string &name, int scale,
          const core::CoreConfig &cfg)
 {
-    if (isTraceWorkload(name)) {
-        trace::LoadedTrace loaded =
-            trace::loadTrace(traceWorkloadPath(name));
-        core::OooCore core(loaded.program, std::move(loaded.trace),
-                           cfg);
-        return core.run();
-    }
-    const std::shared_ptr<const BuiltKernel> k = sharedKernel(name, scale);
+    const std::shared_ptr<const BuiltKernel> k = workloadKernel(name, scale);
     // The core's trace handle shares ownership of the whole kernel.
     core::OooCore core(
         k->program, std::shared_ptr<const arch::ExecTrace>(k, &k->trace),

@@ -91,7 +91,10 @@ std::string traceWorkloadName(const std::string &path);
 /** The .vst path behind a trace workload name. */
 std::string traceWorkloadPath(const std::string &name);
 
-/** A built-in kernel, assembled and pre-executed. */
+/**
+ * A workload's program and its oracle trace: a built-in kernel,
+ * assembled and pre-executed, or a recording loaded from a .vst file.
+ */
 struct BuiltKernel
 {
     assembler::Program program;
@@ -108,6 +111,22 @@ struct BuiltKernel
  */
 std::shared_ptr<const BuiltKernel> sharedKernel(const std::string &name,
                                                 int scale);
+
+/**
+ * Kernels sharedKernel() has built (assembled and pre-executed) in
+ * this process so far, failed builds excluded. Read-only; tests use
+ * it to count builds per sweep.
+ */
+std::uint64_t sharedKernelBuilds();
+
+/**
+ * The program and oracle trace behind workload @p name: the shared
+ * built-in kernel (sharedKernel), or a "trace:<path>" recording loaded
+ * for this caller alone. Every run, sharded and sampled ones included,
+ * takes its kernel from here.
+ */
+std::shared_ptr<const BuiltKernel> workloadKernel(const std::string &name,
+                                                  int scale);
 
 /**
  * Build workload @p name at @p scale (-1 = default) and run it under

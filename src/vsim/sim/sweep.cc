@@ -3,7 +3,10 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdint>
+#include <optional>
 #include <sstream>
+#include <utility>
 
 #include "disk_cache.hh"
 #include "vsim/base/logging.hh"
@@ -150,6 +153,19 @@ RunCache::getOrRun(const SweepJob &job, bool *cache_hit)
     return future.get(); // rethrows the run's error, if any
 }
 
+bool
+RunCache::probe(const std::string &key) const
+{
+    std::shared_ptr<DiskRunCache> dsk;
+    {
+        std::unique_lock<std::mutex> lock(mtx);
+        if (entries.count(key))
+            return true;
+        dsk = diskCache;
+    }
+    return dsk && dsk->contains(key);
+}
+
 void
 RunCache::attachDisk(std::shared_ptr<DiskRunCache> disk)
 {
@@ -239,6 +255,17 @@ progressLine(std::atomic<std::size_t> &done, std::size_t total,
     logLine(os.str());
 }
 
+/**
+ * A built-in kernel shared by the unanswered cells of one sweep: the
+ * sweep's strong reference to it, and how many of those cells have
+ * yet to finish.
+ */
+struct KernelPin
+{
+    std::shared_ptr<const BuiltKernel> kernel; //!< null if the build failed
+    std::size_t cellsLeft = 0;
+};
+
 } // namespace
 
 std::vector<RunResult>
@@ -254,6 +281,7 @@ SweepRunner::run(const std::vector<SweepJob> &jobs)
     };
 
     std::vector<RunResult> results(jobs.size());
+    std::vector<std::exception_ptr> errors(jobs.size());
     if (spans) {
         spans->clear();
         spans->resize(jobs.size());
@@ -266,56 +294,102 @@ SweepRunner::run(const std::vector<SweepJob> &jobs)
     }
     std::atomic<std::size_t> done{0};
 
-    if (nJobs <= 1 || jobs.size() <= 1) {
-        for (std::size_t i = 0; i < jobs.size(); ++i) {
-            JobSpan *sp = spans ? &(*spans)[i] : nullptr;
-            if (sp) {
-                sp->worker = -1;
-                sp->submitNs = now_ns();
-                sp->startNs = sp->submitNs;
-            }
-            bool cached = false;
-            results[i] = runOne(jobs[i], &cached);
-            if (sp) {
-                sp->endNs = now_ns();
-                sp->cacheHit = cached;
-            }
-            if (progress)
-                progressLine(done, jobs.size(), jobs[i], cached);
+    // Probe. Trace cells and the cells a cache tier already answers
+    // start first, in list order. A trace cell loads its own .vst, so
+    // it is neither probed (its key hashes the file) nor pinned; every
+    // other cell pins its (workload, scale) kernel.
+    std::vector<std::size_t> order, rest;
+    std::map<std::pair<std::string, int>, KernelPin> pins;
+    std::vector<KernelPin *> pinOf(jobs.size(), nullptr);
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+        const SweepJob &job = jobs[i];
+        if (isTraceWorkload(job.workload)
+            || (cache && cache->probe(jobKey(job)))) {
+            order.push_back(i);
+            continue;
         }
-        return results;
+        pinOf[i] = &pins[{job.workload, job.scale}];
+        ++pinOf[i]->cellsLeft;
+        rest.push_back(i);
     }
 
-    std::vector<std::exception_ptr> errors(jobs.size());
-    {
-        ThreadPool pool(std::min<int>(
-            nJobs, static_cast<int>(jobs.size())));
-        for (std::size_t i = 0; i < jobs.size(); ++i) {
-            JobSpan *sp = spans ? &(*spans)[i] : nullptr;
-            if (sp)
-                sp->submitNs = now_ns();
-            pool.submit([this, &jobs, &results, &errors, &done, sp,
-                         now_ns, i] {
-                if (sp) {
-                    sp->worker = ThreadPool::currentWorkerIndex();
-                    sp->startNs = now_ns();
-                }
-                bool cached = false;
-                try {
-                    results[i] = runOne(jobs[i], &cached);
-                } catch (...) {
-                    errors[i] = std::current_exception();
-                }
-                if (sp) {
-                    sp->endNs = now_ns();
-                    sp->cacheHit = cached;
-                }
-                if (progress)
-                    progressLine(done, jobs.size(), jobs[i], cached);
-            });
+    std::mutex pinMutex;
+    auto runCell = [&](std::size_t i) {
+        JobSpan *sp = spans ? &(*spans)[i] : nullptr;
+        if (sp) {
+            sp->worker = ThreadPool::currentWorkerIndex();
+            sp->startNs = now_ns();
         }
-        pool.wait();
+        bool cached = false;
+        try {
+            results[i] = runOne(jobs[i], &cached);
+        } catch (...) {
+            errors[i] = std::current_exception();
+        }
+        if (sp) {
+            sp->endNs = now_ns();
+            sp->cacheHit = cached;
+        }
+        if (progress)
+            progressLine(done, jobs.size(), jobs[i], cached);
+        if (!pinOf[i])
+            return;
+        // The kernel's last cell drops the sweep's pin (outside the
+        // lock); the kernel itself goes with its last holder.
+        std::shared_ptr<const BuiltKernel> unpinned;
+        std::lock_guard<std::mutex> lock(pinMutex);
+        if (--pinOf[i]->cellsLeft == 0)
+            unpinned = std::move(pinOf[i]->kernel);
+    };
+
+    // Declared after everything its tasks use, so that an exception
+    // on the caller drains and joins it before those go away.
+    std::optional<ThreadPool> pool;
+    if (nJobs > 1 && jobs.size() > 1)
+        pool.emplace(std::min<int>(nJobs, static_cast<int>(jobs.size())));
+    auto spawn = [&pool](std::function<void()> task) {
+        if (pool)
+            pool->submit(std::move(task));
+        else
+            task();
+    };
+
+    // Build each pinned kernel once, through the shared memo. A failed
+    // build leaves its pin empty: each of its cells meets the error
+    // again through getOrRun, which stays the authority, and fails on
+    // its own.
+    for (auto &[key, pin] : pins) {
+        spawn([&key, &pin] {
+            try {
+                pin.kernel = sharedKernel(key.first, key.second);
+            } catch (...) {
+            }
+        });
     }
+    if (pool)
+        pool->wait();
+
+    // Dispatch the pinned cells heaviest first, by kernel dynamic
+    // length x window size; the stable sort keeps ties in list order.
+    std::vector<std::uint64_t> cost(jobs.size(), 0);
+    for (std::size_t i : rest) {
+        if (const auto &k = pinOf[i]->kernel)
+            cost[i] = k->trace.entries.size()
+                      * static_cast<std::uint64_t>(jobs[i].cfg.windowSize);
+    }
+    std::stable_sort(rest.begin(), rest.end(),
+                     [&cost](std::size_t a, std::size_t b) {
+                         return cost[a] > cost[b];
+                     });
+    order.insert(order.end(), rest.begin(), rest.end());
+    for (std::size_t i : order) {
+        if (spans)
+            (*spans)[i].submitNs = now_ns();
+        spawn([&runCell, i] { runCell(i); });
+    }
+    if (pool)
+        pool->wait();
+
     for (const std::exception_ptr &err : errors) {
         if (err)
             std::rethrow_exception(err);

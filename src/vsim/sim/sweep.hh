@@ -11,6 +11,9 @@
  * Determinism: each simulation owns all of its state (core, caches,
  * predictors, RNG), so an N-thread sweep is bit-identical to the
  * serial sweep — results depend only on the job, never on scheduling.
+ * That leaves the runner free to choose the order of starts: it builds
+ * each kernel once per sweep and starts the heaviest cells first (see
+ * SweepRunner::run).
  *
  * The process-wide RunCache memoises finished runs by a canonical
  * fingerprint of (workload, scale, full CoreConfig), replacing the
@@ -100,6 +103,14 @@ class RunCache
     RunResult getOrRun(const SweepJob &job, bool *cache_hit = nullptr);
 
     /**
+     * True when the memory tier (a run in flight included) or the
+     * attached disk store holds @p key. A planning hint, not a lookup:
+     * a disk entry that load() would reject still answers true, and
+     * getOrRun stays the authority on hits.
+     */
+    bool probe(const std::string &key) const;
+
+    /**
      * Attach a persistent disk store (nullptr detaches). Subsequent
      * misses consult the store before simulating and write their
      * results back to it.
@@ -138,9 +149,22 @@ class SweepRunner
 
     /**
      * Run every job, in parallel up to the worker count, and return
-     * results indexed exactly like @p jobs regardless of completion
-     * order. If any job fails, the error of the earliest failing job
-     * is rethrown after the pool drains.
+     * results indexed exactly like @p jobs whatever the order of
+     * starts and completions. One plan serves the serial and the
+     * pooled runner:
+     *
+     *  1. probe each job's key against the cache's memory and disk
+     *     tiers (RunCache::probe; "trace:" jobs are not probed);
+     *  2. build each distinct built-in kernel of the unanswered jobs
+     *     once through sharedKernel, as pool tasks, and pin it;
+     *  3. start trace and answered jobs first, in list order, then the
+     *     rest heaviest first by kernel dynamic length x window size
+     *     (a stable sort: ties keep list order);
+     *  4. drop a kernel's pin when its last job finishes.
+     *
+     * Every unanswered kernel is live at once from step 2 on. If any
+     * job fails, every other job still runs, and the error of the
+     * earliest-listed failing job is rethrown at the end.
      */
     std::vector<RunResult> run(const std::vector<SweepJob> &jobs);
 

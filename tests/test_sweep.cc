@@ -2,9 +2,10 @@
  * @file
  * Tests for the parallel sweep engine: thread-pool behaviour, job
  * fingerprinting, serial-vs-parallel bit-identical results,
- * deterministic ordering under many workers, run-cache memoization
- * (including in-flight dedupe), JSON/CSV emission, and the named
- * sweep registry.
+ * deterministic ordering under many workers, the sweep plan (cache
+ * probe, one build per kernel, heaviest-first dispatch, pin release),
+ * run-cache memoization (including in-flight dedupe), JSON/CSV
+ * emission, and the named sweep registry.
  */
 
 #include <gtest/gtest.h>
@@ -12,12 +13,19 @@
 #include <atomic>
 #include <cctype>
 #include <cstdint>
+#include <cstdlib>
+#include <filesystem>
 #include <memory>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "vsim/base/logging.hh"
+#include "vsim/base/random.hh"
+#include "vsim/base/state_io.hh"
 #include "vsim/base/thread_pool.hh"
+#include "vsim/sim/disk_cache.hh"
 #include "vsim/sim/report.hh"
 #include "vsim/sim/simulator.hh"
 #include "vsim/sim/sweep.hh"
@@ -409,6 +417,203 @@ TEST(SharedKernel, GridIdenticalAcrossWorkerCounts)
     const auto b = parallel.run(jobs);
     EXPECT_EQ(sim::toJson(jobs, a), sim::toJson(jobs, b));
     EXPECT_EQ(sim::toCsv(jobs, a), sim::toCsv(jobs, b));
+}
+
+// ---- sweep plan: probe, build once, heaviest first --------------------
+
+/** Cheap cells over three kernels and three windows, so the cost order
+ *  (kernel length x window) differs from list order. */
+std::vector<sim::SweepJob>
+planGrid()
+{
+    std::vector<sim::SweepJob> jobs;
+    const struct
+    {
+        const char *workload;
+        int width, window;
+        bool vp;
+    } cells[] = {
+        {"vortex", 4, 24, false}, {"compress", 8, 48, true},
+        {"go", 16, 96, false},    {"compress", 16, 96, false},
+        {"vortex", 8, 48, true},  {"go", 4, 24, true},
+    };
+    for (const auto &c : cells) {
+        sim::SweepJob job;
+        job.workload = c.workload;
+        job.scale = 1;
+        const sim::MachineConfig m{c.width, c.window};
+        job.cfg = c.vp ? sim::vpConfig(m, SpecModel::greatModel(),
+                                       ConfidenceKind::Real,
+                                       UpdateTiming::Delayed)
+                       : sim::baseConfig(m);
+        job.label = m.label() + " " + sim::configLabel(job.cfg);
+        jobs.push_back(job);
+    }
+    return jobs;
+}
+
+std::vector<std::uint8_t>
+resultBytes(const sim::RunResult &r)
+{
+    StateWriter w;
+    sim::saveRunResult(w, r);
+    return w.data();
+}
+
+TEST(SweepPlan, ListOrderNeverShowsInResults)
+{
+    const std::vector<sim::SweepJob> jobs = planGrid();
+    const std::size_t n = jobs.size();
+    std::vector<std::size_t> forward(n);
+    for (std::size_t i = 0; i < n; ++i)
+        forward[i] = i;
+    std::vector<std::size_t> reversed(forward.rbegin(), forward.rend());
+    std::vector<std::size_t> permuted = forward;
+    Xoshiro256 rng(19);
+    for (std::size_t i = n - 1; i > 0; --i)
+        std::swap(permuted[i], permuted[rng.nextBounded(i + 1)]);
+
+    std::vector<std::vector<std::uint8_t>> want;
+    for (int workers : {1, 4}) {
+        for (const auto &order : {forward, reversed, permuted}) {
+            std::vector<sim::SweepJob> listed;
+            for (std::size_t i : order)
+                listed.push_back(jobs[i]);
+            sim::RunCache cache;
+            sim::SweepRunner runner(workers, &cache);
+            const auto got = runner.run(listed);
+            ASSERT_EQ(got.size(), n);
+            std::vector<std::vector<std::uint8_t>> bytes(n);
+            for (std::size_t k = 0; k < n; ++k)
+                bytes[order[k]] = resultBytes(got[k]);
+            if (want.empty())
+                want = bytes;
+            for (std::size_t i = 0; i < n; ++i)
+                EXPECT_EQ(bytes[i], want[i])
+                    << jobs[i].label << " " << jobs[i].workload
+                    << " at " << workers << " worker(s)";
+        }
+    }
+}
+
+TEST(SweepPlan, Fig3QuickBuildsEachKernelOnce)
+{
+    const auto jobs = sim::sweepByName("fig3").build({true, 1, {}});
+    std::set<std::pair<std::string, int>> kernels;
+    for (const sim::SweepJob &j : jobs)
+        kernels.insert({j.workload, j.scale});
+    ASSERT_EQ(kernels.size(), 3u);
+    for (int workers : {1, 4}) {
+        sim::RunCache cache;
+        sim::SweepRunner runner(workers, &cache);
+        const std::uint64_t before = sim::sharedKernelBuilds();
+        runner.run(jobs);
+        EXPECT_EQ(sim::sharedKernelBuilds() - before, kernels.size())
+            << workers << " worker(s)";
+    }
+}
+
+TEST(SweepPlan, AnsweredSweepBuildsNothing)
+{
+    const std::vector<sim::SweepJob> jobs = planGrid();
+    char dir[] = "/tmp/vsim_sweep_XXXXXX";
+    ASSERT_NE(::mkdtemp(dir), nullptr);
+    std::vector<sim::RunResult> cold;
+    {
+        sim::RunCache cache;
+        cache.attachDisk(std::make_shared<sim::DiskRunCache>(dir));
+        sim::SweepRunner runner(4, &cache);
+        cold = runner.run(jobs);
+
+        // Memory tier: the same cache answers every cell.
+        const std::uint64_t before = sim::sharedKernelBuilds();
+        const auto warm = runner.run(jobs);
+        EXPECT_EQ(sim::sharedKernelBuilds(), before);
+        for (std::size_t i = 0; i < jobs.size(); ++i)
+            EXPECT_EQ(resultBytes(warm[i]), resultBytes(cold[i]));
+    }
+    for (int workers : {1, 4}) {
+        // Disk tier: a fresh process-like cache over the same store.
+        sim::RunCache cache;
+        cache.attachDisk(std::make_shared<sim::DiskRunCache>(dir));
+        sim::SweepRunner runner(workers, &cache);
+        const std::uint64_t before = sim::sharedKernelBuilds();
+        const auto warm = runner.run(jobs);
+        EXPECT_EQ(sim::sharedKernelBuilds(), before)
+            << workers << " worker(s)";
+        EXPECT_EQ(cache.diskHits(), jobs.size());
+        for (std::size_t i = 0; i < jobs.size(); ++i)
+            EXPECT_EQ(resultBytes(warm[i]), resultBytes(cold[i]));
+    }
+    std::filesystem::remove_all(dir);
+}
+
+TEST(SweepPlan, EarliestListedErrorWinsOverDispatchOrder)
+{
+    // Both cells fail in runWorkload's partition check, after the plan
+    // has built their kernels. The later-listed one is far heavier
+    // (queens at window 512 against compress at 24), so it starts
+    // first; the earlier-listed one's error must still surface.
+    sim::SweepJob light = quickJob("compress");
+    light.cfg.windowSize = 24;
+    light.cfg.warmupInsts = 1000;
+    sim::SweepJob heavy = quickJob("queens");
+    heavy.cfg.windowSize = 512;
+    heavy.cfg.sampleIntervalInsts = 1000;
+    const std::vector<sim::SweepJob> jobs = {light, heavy};
+
+    for (int workers : {1, 4}) {
+        sim::RunCache cache;
+        sim::SweepRunner runner(workers, &cache);
+        std::vector<sim::JobSpan> spans;
+        runner.setSpanSink(&spans);
+        std::string what;
+        try {
+            runner.run(jobs);
+        } catch (const FatalError &err) {
+            what = err.what();
+        }
+        EXPECT_NE(what.find("--warmup-insts needs"), std::string::npos)
+            << workers << " worker(s): " << what;
+        ASSERT_EQ(spans.size(), 2u);
+        if (workers == 1) {
+            EXPECT_LT(spans[1].startNs, spans[0].startNs)
+                << "the heavier, later-listed cell must start first";
+        }
+    }
+}
+
+TEST(SweepPlan, FailedKernelFailsOnlyItsCells)
+{
+    std::vector<sim::SweepJob> jobs = planGrid();
+    jobs.insert(jobs.begin() + 2, quickJob("nonesuch"));
+    for (int workers : {1, 4}) {
+        sim::RunCache cache;
+        sim::SweepRunner runner(workers, &cache);
+        EXPECT_THROW(runner.run(jobs), FatalError);
+        // Every other cell ran and was memoized.
+        EXPECT_EQ(cache.size(), jobs.size() - 1) << workers;
+    }
+}
+
+TEST(SweepPlan, NothingPinnedAfterRun)
+{
+    for (int workers : {1, 4}) {
+        std::vector<std::weak_ptr<const sim::BuiltKernel>> seen;
+        {
+            // Hold each kernel across the sweep, so the sweep pins the
+            // very objects the weak_ptrs watch.
+            std::vector<std::shared_ptr<const sim::BuiltKernel>> held;
+            for (const char *w : {"vortex", "compress", "go"})
+                held.push_back(sim::sharedKernel(w, 1));
+            seen.assign(held.begin(), held.end());
+            sim::RunCache cache;
+            sim::SweepRunner runner(workers, &cache);
+            runner.run(planGrid());
+        }
+        for (const auto &k : seen)
+            EXPECT_TRUE(k.expired()) << workers << " worker(s)";
+    }
 }
 
 // ---- run cache --------------------------------------------------------

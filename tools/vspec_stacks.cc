@@ -17,6 +17,7 @@
 
 #include <array>
 #include <cctype>
+#include <cerrno>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -24,6 +25,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "vsim/obs/cpi.hh"
@@ -145,14 +147,19 @@ findValue(const std::string &obj, const std::string &name)
     return v;
 }
 
+/**
+ * A plain unsigned decimal that fits 64 bits: no sign, no fraction, no
+ * overflow (strtoull alone wraps "-5" and clamps an overflow).
+ */
 bool
 parseU64(const std::string &text, std::uint64_t &out)
 {
-    if (text.empty())
+    if (text.empty() || !std::isdigit(static_cast<unsigned char>(text[0])))
         return false;
+    errno = 0;
     char *end = nullptr;
     out = std::strtoull(text.c_str(), &end, 10);
-    return end && *end == '\0';
+    return *end == '\0' && errno != ERANGE;
 }
 
 /** Parse every cell carrying a CPI stack out of one result file. */
@@ -177,12 +184,28 @@ loadStacks(const char *path, std::vector<StackRow> &rows)
         row.label = findValue(obj, "label");
         row.workload = findValue(obj, "workload");
         row.config = findValue(obj, "config");
-        bool complete = parseU64(findValue(obj, "cycles"), row.cycles);
-        for (std::size_t c = 0; complete && c < kCpiCatCount; ++c) {
-            const std::string name =
-                std::string("cpi_")
-                + cpiCatName(static_cast<CpiCat>(c));
-            complete = parseU64(findValue(obj, name), row.cpi[c]);
+        std::vector<std::pair<std::string, std::uint64_t *>> fields = {
+            {"cycles", &row.cycles}};
+        for (std::size_t c = 0; c < kCpiCatCount; ++c)
+            fields.push_back(
+                {std::string("cpi_") + cpiCatName(static_cast<CpiCat>(c)),
+                 &row.cpi[c]});
+        // An object without the fields is not a stack cell and is
+        // skipped; a field that is present but not a count fails.
+        bool complete = true;
+        for (const auto &[name, slot] : fields) {
+            const std::string text = findValue(obj, name);
+            if (text.empty()) {
+                complete = false;
+                break;
+            }
+            if (!parseU64(text, *slot)) {
+                std::fprintf(stderr,
+                             "error: %s: \"%s\" is not an unsigned 64-bit "
+                             "count: %s\n",
+                             path, name.c_str(), text.c_str());
+                return false;
+            }
         }
         if (complete)
             rows.push_back(std::move(row));
