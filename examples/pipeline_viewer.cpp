@@ -1,56 +1,122 @@
 /**
  * @file
- * Pipeline viewer: runs a user-visible snippet with the pipeline
- * tracer enabled and prints the Figure-1-style cycle diagram for all
- * three named speculative execution models, with a deliberately
- * mispredicted instruction so the invalidation/reissue events are
- * visible (EX execute, W writeback, V verified, EQ! mispredicted,
- * I invalidated, RT retire).
+ * Pipeline viewer: reproduces **Figure 1** of the paper, the
+ * cycle-by-cycle execution of a three-instruction dependence chain (2
+ * depends on 1, 3 depends on 2) under the base processor and the
+ * super/great/good speculative execution models, with correct and
+ * with incorrect predictions.
+ *
+ * The chain is held in the instruction window behind a long-latency
+ * producer (matching the figure's initial condition), instructions 1
+ * and 2 have predicted outputs, and the prediction-override harness
+ * forces the predictions to be right or wrong. The pipeline diagrams
+ * use the paper's annotations: EX execute, W write/verify, V verified,
+ * EQ! equality failed (invalidation), I invalidated, RT retire.
  */
 
 #include <cstdio>
 
 #include "vsim/assembler/assembler.hh"
+#include "vsim/base/stats.hh"
 #include "vsim/core/ooo_core.hh"
+
+namespace
+{
+
+using namespace vsim;
+using core::CoreConfig;
+using core::OooCore;
+using core::SpecModel;
+
+const char *kChainAsm = R"(
+        li t0, 700
+        li t1, 70
+        div a0, t0, t1      # slow producer of the chain input
+    c1: addi a1, a0, 1      # instruction 1 (predicted)
+    c2: addi a2, a1, 1      # instruction 2 (predicted)
+    c3: addi a3, a2, 1      # instruction 3
+        halt a3
+)";
+
+std::uint64_t
+runScenario(const char *title, const SpecModel *model, bool correct,
+            bool show_diagram)
+{
+    const assembler::Program prog = assembler::assemble(kChainAsm);
+    CoreConfig cfg;
+    cfg.useValuePrediction = model != nullptr;
+    if (model)
+        cfg.model = *model;
+    cfg.tracePipeline = true;
+
+    OooCore core(prog, cfg);
+    if (model) {
+        core.setPredictionOverride(
+            [&prog, correct](std::uint64_t pc, std::uint64_t actual)
+                -> std::optional<std::uint64_t> {
+                if (pc == prog.symbols.at("c1"))
+                    return correct ? actual : actual + 88;
+                if (pc == prog.symbols.at("c2"))
+                    return correct ? actual : actual + 888;
+                return std::nullopt;
+            });
+    }
+    const core::SimOutcome out = core.run();
+
+    std::printf("---- %s: %llu cycles ----\n", title,
+                static_cast<unsigned long long>(out.stats.cycles));
+    if (show_diagram) {
+        // Show the window of cycles around the chain's execution.
+        std::printf("%s\n", core.tracer().render(36, 70).c_str());
+    }
+    return out.stats.cycles;
+}
+
+} // namespace
 
 int
 main()
 {
-    using namespace vsim;
+    std::printf("== Figure 1: Execution example under different "
+                "speculative models ==\n\n");
 
-    const assembler::Program prog = assembler::assemble(R"(
-        li t0, 900
-        li t1, 30
-        div a0, t0, t1      # slow producer: a0 = 30
-    p:  addi a1, a0, 2      # value-predicted (wrongly, see below)
-        addi a2, a1, 2
-        addi a3, a2, 2
-        halt a3
-    )");
+    const SpecModel super = SpecModel::superModel();
+    const SpecModel great = SpecModel::greatModel();
+    const SpecModel good = SpecModel::goodModel();
 
-    for (const char *name : {"super", "great", "good"}) {
-        core::CoreConfig cfg;
-        cfg.useValuePrediction = true;
-        cfg.model = core::SpecModel::byName(name);
-        cfg.tracePipeline = true;
+    const std::uint64_t base =
+        runScenario("base (no value prediction)", nullptr, true, true);
 
-        core::OooCore core(prog, cfg);
-        core.setPredictionOverride(
-            [&prog](std::uint64_t pc, std::uint64_t actual)
-                -> std::optional<std::uint64_t> {
-                if (pc == prog.symbols.at("p"))
-                    return actual + 7; // force a misprediction
-                return std::nullopt;
-            });
-        const core::SimOutcome out = core.run();
+    std::printf("== correct prediction of instructions 1 and 2 ==\n");
+    const std::uint64_t sc = runScenario("super / correct", &super,
+                                         true, true);
+    const std::uint64_t gc = runScenario("great / correct", &great,
+                                         true, false);
+    const std::uint64_t dc = runScenario("good / correct", &good,
+                                         true, true);
 
-        std::printf("==== model %-5s : %llu cycles, %llu reissues "
-                    "====\n%s\n",
-                    name,
-                    static_cast<unsigned long long>(out.stats.cycles),
-                    static_cast<unsigned long long>(
-                        out.stats.reissues),
-                    core.tracer().render(36, 72).c_str());
-    }
+    std::printf("== incorrect prediction of instructions 1 and 2 ==\n");
+    const std::uint64_t sw = runScenario("super / mispredict", &super,
+                                         false, true);
+    const std::uint64_t gw = runScenario("great / mispredict", &great,
+                                         false, false);
+    const std::uint64_t dw = runScenario("good / mispredict", &good,
+                                         false, true);
+
+    std::printf("== summary (total cycles) ==\n");
+    TextTable t;
+    t.setHeader({"scenario", "base", "super", "great", "good"});
+    t.addRow({"correct", std::to_string(base), std::to_string(sc),
+              std::to_string(gc), std::to_string(dc)});
+    t.addRow({"mispredict", std::to_string(base), std::to_string(sw),
+              std::to_string(gw), std::to_string(dw)});
+    std::printf("%s\n", t.render().c_str());
+
+    std::printf(
+        "Expected shape (paper Fig. 1): correct prediction packs the\n"
+        "chain into fewer cycles (super/great < base); the good model\n"
+        "pays one extra verification cycle per dependence level; under\n"
+        "misprediction super matches base exactly while great/good add\n"
+        "their reissue and equality latencies.\n");
     return 0;
 }

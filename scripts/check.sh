@@ -17,7 +17,9 @@ cmake -B build -S . >/dev/null
 cmake --build build -j
 
 echo "== tier-1: ctest =="
-(cd build && ctest --output-on-failure -j)
+# Older CTest reads a bare -j as a missing count and runs one test at
+# a time; name the count.
+(cd build && ctest --output-on-failure -j "$(nproc)")
 # Parameterized test names embed a dump of the parameter; two listings
 # must agree or the names ctest registers change from build to build.
 diff <(./build/tests/test_fuzz --gtest_list_tests) \
@@ -189,7 +191,8 @@ for kind in sparse dense; do
         --sweep-kind "$kind" \
         | diff - tests/golden/run_m88k_w257_great_specmem.txt
     for sweep in base fig3 fig4 confidence predictors verif-latency \
-                 reissue-latency; do
+                 reissue-latency table1 verif-scheme branch-resolution \
+                 mem-resolution selection; do
         ./build/tools/vspec_sweep "$sweep" --quick --scale 1 --jobs 4 \
             --sweep-kind "$kind" \
             | diff - "tests/golden/sweep_${sweep}.txt"

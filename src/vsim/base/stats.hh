@@ -92,7 +92,7 @@ class RatioStat
 };
 
 /**
- * Fixed-width text table builder used by every bench binary so the
+ * Fixed-width text table builder used by every tool and figure so the
  * reproduced tables and figures share one formatting style.
  */
 class TextTable

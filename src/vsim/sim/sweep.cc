@@ -12,7 +12,6 @@
 #include "vsim/base/logging.hh"
 #include "vsim/base/thread_pool.hh"
 #include "vsim/trace/trace_io.hh"
-#include "vsim/workloads/workloads.hh"
 
 namespace vsim::sim
 {
@@ -395,256 +394,6 @@ SweepRunner::run(const std::vector<SweepJob> &jobs)
             std::rethrow_exception(err);
     }
     return results;
-}
-
-std::vector<std::string>
-sweepWorkloads(bool quick)
-{
-    if (quick)
-        return {"compress", "m88k", "queens"};
-    std::vector<std::string> names;
-    for (const auto &w : workloads::all())
-        names.push_back(w.name);
-    return names;
-}
-
-std::vector<std::string>
-sweepWorkloads(const SweepOptions &opt)
-{
-    if (!opt.workloads.empty())
-        return opt.workloads;
-    return sweepWorkloads(opt.quick);
-}
-
-std::vector<MachineConfig>
-sweepMachines(bool quick)
-{
-    if (quick)
-        return {{8, 48}};
-    return paperMachines();
-}
-
-std::string
-configLabel(const core::CoreConfig &cfg)
-{
-    if (!cfg.useValuePrediction)
-        return "base";
-    return cfg.model.name + " "
-           + timingConfLabel(cfg.updateTiming, cfg.confidence);
-}
-
-namespace
-{
-
-using core::ConfidenceKind;
-using core::SpecModel;
-using core::UpdateTiming;
-
-/** Label a job "<machine> <config>" unless the builder overrides. */
-SweepJob
-makeJob(const MachineConfig &m, const std::string &workload, int scale,
-        const core::CoreConfig &cfg, const std::string &label = "")
-{
-    SweepJob job;
-    job.label = label.empty() ? m.label() + " " + configLabel(cfg)
-                              : label;
-    job.workload = workload;
-    job.scale = scale;
-    job.cfg = cfg;
-    return job;
-}
-
-std::vector<SweepJob>
-buildBase(const SweepOptions &opt)
-{
-    std::vector<SweepJob> jobs;
-    for (const auto &m : sweepMachines(opt.quick))
-        for (const auto &w : sweepWorkloads(opt))
-            jobs.push_back(makeJob(m, w, opt.scale, baseConfig(m)));
-    return jobs;
-}
-
-std::vector<SweepJob>
-buildFig3(const SweepOptions &opt)
-{
-    const std::vector<SpecModel> models = {SpecModel::goodModel(),
-                                           SpecModel::greatModel(),
-                                           SpecModel::superModel()};
-    const std::vector<std::pair<UpdateTiming, ConfidenceKind>> combos = {
-        {UpdateTiming::Delayed, ConfidenceKind::Real},
-        {UpdateTiming::Immediate, ConfidenceKind::Real},
-        {UpdateTiming::Delayed, ConfidenceKind::Oracle},
-        {UpdateTiming::Immediate, ConfidenceKind::Oracle},
-    };
-    std::vector<SweepJob> jobs = buildBase(opt);
-    for (const auto &m : sweepMachines(opt.quick))
-        for (const SpecModel &model : models)
-            for (const auto &[timing, conf] : combos)
-                for (const auto &w : sweepWorkloads(opt))
-                    jobs.push_back(makeJob(
-                        m, w, opt.scale,
-                        vpConfig(m, model, conf, timing)));
-    return jobs;
-}
-
-std::vector<SweepJob>
-buildFig4(const SweepOptions &opt)
-{
-    std::vector<SweepJob> jobs;
-    for (const auto &m : sweepMachines(opt.quick))
-        for (UpdateTiming timing :
-             {UpdateTiming::Delayed, UpdateTiming::Immediate})
-            for (const auto &w : sweepWorkloads(opt))
-                jobs.push_back(makeJob(
-                    m, w, opt.scale,
-                    vpConfig(m, SpecModel::greatModel(),
-                             ConfidenceKind::Real, timing)));
-    return jobs;
-}
-
-std::vector<SweepJob>
-buildConfidence(const SweepOptions &opt)
-{
-    const MachineConfig m{8, 48};
-    struct Variant
-    {
-        const char *name;
-        ConfidenceKind kind;
-        int bits;
-        int threshold;
-    };
-    const std::vector<Variant> variants = {
-        {"ctr-1bit", ConfidenceKind::Real, 1, -1},
-        {"ctr-2bit", ConfidenceKind::Real, 2, -1},
-        {"ctr-3bit", ConfidenceKind::Real, 3, -1},
-        {"ctr-4bit", ConfidenceKind::Real, 4, -1},
-        {"ctr-3bit-thr4", ConfidenceKind::Real, 3, 4},
-        {"always", ConfidenceKind::Always, 3, -1},
-        {"oracle", ConfidenceKind::Oracle, 3, -1},
-    };
-    std::vector<SweepJob> jobs;
-    for (const auto &w : sweepWorkloads(opt))
-        jobs.push_back(makeJob(m, w, opt.scale, baseConfig(m)));
-    for (const Variant &v : variants) {
-        for (const auto &w : sweepWorkloads(opt)) {
-            core::CoreConfig cfg =
-                vpConfig(m, SpecModel::greatModel(), v.kind,
-                         UpdateTiming::Delayed);
-            cfg.confidenceBits = v.bits;
-            cfg.confidenceThreshold = v.threshold;
-            jobs.push_back(makeJob(m, w, opt.scale, cfg,
-                                   m.label() + " " + v.name));
-        }
-    }
-    return jobs;
-}
-
-std::vector<SweepJob>
-buildPredictors(const SweepOptions &opt)
-{
-    const MachineConfig m{8, 48};
-    std::vector<SweepJob> jobs;
-    for (const auto &w : sweepWorkloads(opt))
-        jobs.push_back(makeJob(m, w, opt.scale, baseConfig(m)));
-    for (const char *pred : {"fcm", "last-value", "stride", "hybrid"}) {
-        for (const auto &w : sweepWorkloads(opt)) {
-            core::CoreConfig cfg =
-                vpConfig(m, SpecModel::greatModel(),
-                         ConfidenceKind::Oracle, UpdateTiming::Immediate);
-            cfg.valuePredictor = pred;
-            jobs.push_back(
-                makeJob(m, w, opt.scale, cfg,
-                        m.label() + " " + std::string(pred)));
-        }
-    }
-    return jobs;
-}
-
-std::vector<SweepJob>
-buildVerifLatency(const SweepOptions &opt)
-{
-    const MachineConfig m{8, 48};
-    std::vector<SweepJob> jobs;
-    for (const auto &w : sweepWorkloads(opt))
-        jobs.push_back(makeJob(m, w, opt.scale, baseConfig(m)));
-    for (int lat = 0; lat <= 3; ++lat) {
-        for (const auto &w : sweepWorkloads(opt)) {
-            SpecModel model = SpecModel::greatModel();
-            model.execToEquality = lat;
-            jobs.push_back(makeJob(
-                m, w, opt.scale,
-                vpConfig(m, model, ConfidenceKind::Oracle,
-                         UpdateTiming::Immediate),
-                m.label() + " verif-lat=" + std::to_string(lat)));
-        }
-    }
-    return jobs;
-}
-
-std::vector<SweepJob>
-buildReissueLatency(const SweepOptions &opt)
-{
-    const MachineConfig m{8, 48};
-    std::vector<SweepJob> jobs;
-    for (const auto &w : sweepWorkloads(opt))
-        jobs.push_back(makeJob(m, w, opt.scale, baseConfig(m)));
-    for (ConfidenceKind conf :
-         {ConfidenceKind::Always, ConfidenceKind::Real}) {
-        for (int lat : {0, 1, 2, 4}) {
-            for (const auto &w : sweepWorkloads(opt)) {
-                SpecModel model = SpecModel::greatModel();
-                model.invalidateToReissue = lat;
-                jobs.push_back(makeJob(
-                    m, w, opt.scale,
-                    vpConfig(m, model, conf, UpdateTiming::Immediate),
-                    m.label()
-                        + (conf == ConfidenceKind::Always ? " always"
-                                                          : " real")
-                        + " reissue-lat=" + std::to_string(lat)));
-            }
-        }
-    }
-    return jobs;
-}
-
-} // namespace
-
-const std::vector<NamedSweep> &
-namedSweeps()
-{
-    static const std::vector<NamedSweep> sweeps = {
-        {"base", "base machines (no value prediction), all workloads",
-         buildBase},
-        {"fig3", "Fig. 3 grid: models x D/R-I/R-D/O-I/O x machines "
-                 "(plus base runs)",
-         buildFig3},
-        {"fig4", "Fig. 4 grid: great model, real confidence, D and I "
-                 "update timing",
-         buildFig4},
-        {"confidence", "confidence-estimator design space on 8/48",
-         buildConfidence},
-        {"predictors", "value-predictor choice on 8/48 (oracle, "
-                       "immediate)",
-         buildPredictors},
-        {"verif-latency",
-         "Execution-Equality-Verification latency sweep 0-3 on 8/48",
-         buildVerifLatency},
-        {"reissue-latency",
-         "Invalidation-Reissue latency sweep 0-4 on 8/48, always and "
-         "real confidence",
-         buildReissueLatency},
-    };
-    return sweeps;
-}
-
-const NamedSweep &
-sweepByName(const std::string &name)
-{
-    for (const NamedSweep &s : namedSweeps()) {
-        if (s.name == name)
-            return s;
-    }
-    VSIM_FATAL("unknown sweep '", name, "'");
 }
 
 } // namespace vsim::sim

@@ -16,10 +16,9 @@
  * SweepRunner::run).
  *
  * The process-wide RunCache memoises finished runs by a canonical
- * fingerprint of (workload, scale, full CoreConfig), replacing the
- * per-binary base-run caches the bench drivers used to carry; it also
- * dedupes *in-flight* runs, so two workers asking for the same cell
- * simulate it once and share the result.
+ * fingerprint of (workload, scale, full CoreConfig); it also dedupes
+ * *in-flight* runs, so two workers asking for the same cell simulate
+ * it once and share the result.
  */
 
 #ifndef VSIM_SIM_SWEEP_HH
@@ -216,7 +215,7 @@ std::vector<MachineConfig> sweepMachines(bool quick);
 /** Human-readable configuration tag: "base" or "<model> <D/R>". */
 std::string configLabel(const core::CoreConfig &cfg);
 
-// ---- named sweeps (tools/vspec_sweep) ---------------------------------
+// ---- named sweeps: the paper's figures (figures.cc) -------------------
 
 struct SweepOptions
 {
@@ -230,12 +229,22 @@ struct SweepOptions
     std::vector<std::string> workloads;
 };
 
-/** A named, reusable job-list builder (one per figure/ablation). */
+/**
+ * A named, reusable job list (one per figure/ablation) and the table
+ * the paper shows for it.
+ */
 struct NamedSweep
 {
     std::string name;
     std::string description;
     std::function<std::vector<SweepJob>(const SweepOptions &)> build;
+    /**
+     * The figure's table from the results of build(opt), in job order;
+     * empty for a sweep with no figure (base).
+     */
+    std::function<std::string(const SweepOptions &,
+                              const std::vector<RunResult> &)>
+        render;
 };
 
 /** Registry of the built-in sweeps. */

@@ -5,7 +5,7 @@
  * deterministic ordering under many workers, the sweep plan (cache
  * probe, one build per kernel, heaviest-first dispatch, pin release),
  * run-cache memoization (including in-flight dedupe), JSON/CSV
- * emission, and the named sweep registry.
+ * emission, and the named sweep registry and its figure renderers.
  */
 
 #include <gtest/gtest.h>
@@ -871,15 +871,26 @@ TEST(SweepReport, CsvHasHeaderAndOneLinePerRun)
 
 TEST(NamedSweeps, RegistryAndQuickSizes)
 {
-    EXPECT_GE(sim::namedSweeps().size(), 5u);
-
     const sim::SweepOptions quick{true, 1, {}};
-    // fig3 quick: 3 base runs + 3 models x 4 combos x 3 workloads.
-    EXPECT_EQ(sim::sweepByName("fig3").build(quick).size(), 3u + 36u);
-    // fig4 quick: 2 timings x 3 workloads.
-    EXPECT_EQ(sim::sweepByName("fig4").build(quick).size(), 6u);
-    // base quick: 1 machine x 3 workloads.
-    EXPECT_EQ(sim::sweepByName("base").build(quick).size(), 3u);
+    // A base block where the figure needs one, then one block of 3
+    // workloads per configuration.
+    const std::vector<std::pair<std::string, std::size_t>> sizes = {
+        {"base", 3},
+        {"fig3", 3 + 3 * 12},
+        {"fig4", 3 * 2},
+        {"confidence", 3 + 3 * 7},
+        {"predictors", 3 + 3 * 4},
+        {"verif-latency", 3 + 3 * 4},
+        {"reissue-latency", 3 + 3 * 8},
+        {"table1", 3},
+        {"verif-scheme", 3 + 3 * 8},
+        {"branch-resolution", 3 + 3 * 4},
+        {"mem-resolution", 3 + 3 * 6},
+        {"selection", 3 + 3 * 8},
+    };
+    EXPECT_EQ(sim::namedSweeps().size(), sizes.size());
+    for (const auto &[name, size] : sizes)
+        EXPECT_EQ(sim::sweepByName(name).build(quick).size(), size) << name;
 
     EXPECT_THROW(sim::sweepByName("nonesuch"), FatalError);
 }
@@ -895,6 +906,38 @@ TEST(NamedSweeps, LabelsNameTheConfiguration)
     }
     EXPECT_TRUE(saw_base);
     EXPECT_TRUE(saw_great);
+    // Label and workload name a cell in the per-cell table.
+    for (const sim::NamedSweep &s : sim::namedSweeps()) {
+        std::set<std::pair<std::string, std::string>> cells;
+        for (const auto &j : s.build(quick))
+            EXPECT_TRUE(cells.insert({j.label, j.workload}).second)
+                << s.name << ": " << j.label << " (" << j.workload << ")";
+    }
+}
+
+TEST(NamedSweeps, EveryFigureRendersBuiltinsAndTraces)
+{
+    // Stand-in results: the renderers only read them, so no cell is
+    // simulated and the trace file need not exist.
+    for (const std::vector<std::string> &suite :
+         {std::vector<std::string>{},
+          std::vector<std::string>{"trace:no-such.vst"}}) {
+        const sim::SweepOptions opt{true, 1, suite};
+        for (const sim::NamedSweep &s : sim::namedSweeps()) {
+            const auto jobs = s.build(opt);
+            std::vector<sim::RunResult> results(jobs.size());
+            for (std::size_t i = 0; i < jobs.size(); ++i) {
+                results[i].workload = jobs[i].workload;
+                results[i].stats.cycles = 1000 + i;
+                results[i].stats.retired = 4000;
+            }
+            const std::string table = s.render(opt, results);
+            if (s.name == "base")
+                EXPECT_EQ(table, "");
+            else
+                EXPECT_EQ(table.rfind("== ", 0), 0u) << s.name;
+        }
+    }
 }
 
 TEST(ConfigLabel, BaseAndVp)

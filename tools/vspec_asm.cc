@@ -9,48 +9,24 @@
  *   vspec-asm prog.s --run --max 1000000
  */
 
-#include <cctype>
-#include <cerrno>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
 
+#include "cli_counts.hh"
 #include "vsim/arch/functional_core.hh"
 #include "vsim/assembler/assembler.hh"
 #include "vsim/base/logging.hh"
 #include "vsim/isa/isa.hh"
 
-namespace
-{
-
-/**
- * Full-token positive 64-bit count; exits 2 naming @p flag on anything
- * else (strtoull would read "abc" as 0 and wrap "-1" to 2^64-1).
- */
-std::uint64_t
-parseCount(const char *flag, const char *text)
-{
-    errno = 0;
-    char *end = nullptr;
-    const unsigned long long v = std::strtoull(text, &end, 10);
-    if (!std::isdigit(static_cast<unsigned char>(text[0])) || *end != '\0'
-        || errno == ERANGE || v == 0) {
-        std::fprintf(stderr, "%s expects a positive count, got '%s'\n",
-                     flag, text);
-        std::exit(2);
-    }
-    return static_cast<std::uint64_t>(v);
-}
-
-} // namespace
-
 int
 main(int argc, char **argv)
 {
     using namespace vsim;
+    const cli::CountParser counts{argv[0]};
 
     std::string file;
     bool list = false, run = false;
@@ -62,7 +38,7 @@ main(int argc, char **argv)
         } else if (!std::strcmp(argv[i], "--run")) {
             run = true;
         } else if (!std::strcmp(argv[i], "--max") && i + 1 < argc) {
-            max_insts = parseCount("--max", argv[++i]);
+            max_insts = counts.positiveU64("--max", argv[++i]);
         } else if (argv[i][0] != '-' && file.empty()) {
             file = argv[i];
         } else {

@@ -14,16 +14,18 @@
  *   vspec-run --workload queens --json run.json   # or --json to stdout
  */
 
-#include <cerrno>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <limits>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 
+#include "cli_counts.hh"
 #include "vsim/assembler/assembler.hh"
 #include "vsim/base/logging.hh"
 #include "vsim/core/ooo_core.hh"
@@ -142,49 +144,13 @@ usage(const char *argv0)
         "                    (to PATH if given, else stdout)\n");
 }
 
-/** Full-token positive integer; exits with usage on anything else. */
-int
-parsePositiveInt(const char *argv0, const char *flag, const char *text)
-{
-    errno = 0;
-    char *end = nullptr;
-    const long v = std::strtol(text, &end, 10);
-    if (end == text || *end != '\0' || errno == ERANGE || v <= 0
-        || v > std::numeric_limits<int>::max()) {
-        std::fprintf(stderr, "%s expects a positive integer, got '%s'\n",
-                     flag, text);
-        usage(argv0);
-        std::exit(2);
-    }
-    return static_cast<int>(v);
-}
-
-/**
- * Full-token positive 64-bit count; exits with usage on anything else
- * (including negative numbers, which strtoull would silently wrap).
- */
-std::uint64_t
-parsePositiveU64(const char *argv0, const char *flag, const char *text)
-{
-    errno = 0;
-    char *end = nullptr;
-    const unsigned long long v = std::strtoull(text, &end, 10);
-    if (text[0] == '-' || text[0] == '+' || end == text || *end != '\0'
-        || errno == ERANGE || v == 0) {
-        std::fprintf(stderr, "%s expects a positive count, got '%s'\n",
-                     flag, text);
-        usage(argv0);
-        std::exit(2);
-    }
-    return static_cast<std::uint64_t>(v);
-}
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
     using namespace vsim;
+    const cli::CountParser counts{argv[0], usage};
 
     std::string workload, asm_file, trace_file, json_path;
     std::string metrics_path, counters_path, trace_json_path;
@@ -220,14 +186,13 @@ main(int argc, char **argv)
         } else if (!std::strcmp(argv[i], "--trace")) {
             trace_file = need_value("--trace");
         } else if (!std::strcmp(argv[i], "--scale")) {
-            scale = parsePositiveInt(argv[0], "--scale",
-                                     need_value("--scale"));
+            scale = counts.positiveInt("--scale", need_value("--scale"));
         } else if (!std::strcmp(argv[i], "--width")) {
-            cfg.issueWidth = parsePositiveInt(argv[0], "--width",
-                                              need_value("--width"));
+            cfg.issueWidth = counts.positiveInt("--width",
+                                                need_value("--width"));
         } else if (!std::strcmp(argv[i], "--window")) {
-            cfg.windowSize = parsePositiveInt(argv[0], "--window",
-                                              need_value("--window"));
+            cfg.windowSize = counts.positiveInt("--window",
+                                                need_value("--window"));
             if (cfg.windowSize > core::kMaxWindow) {
                 std::fprintf(stderr,
                              "--window %d exceeds the supported "
@@ -236,8 +201,8 @@ main(int argc, char **argv)
                 return 2;
             }
         } else if (!std::strcmp(argv[i], "--fetch-width")) {
-            cfg.fetchWidth = parsePositiveInt(
-                argv[0], "--fetch-width", need_value("--fetch-width"));
+            cfg.fetchWidth = counts.positiveInt("--fetch-width",
+                                                need_value("--fetch-width"));
         } else if (!std::strcmp(argv[i], "--base")) {
             cfg.useValuePrediction = false;
         } else if (!std::strcmp(argv[i], "--model")) {
@@ -308,9 +273,9 @@ main(int argc, char **argv)
                 return 2;
             }
         } else if (!std::strcmp(argv[i], "--conf-table-bits")) {
-            const int bits = parsePositiveInt(
-                argv[0], "--conf-table-bits",
-                need_value("--conf-table-bits"));
+            const int bits =
+                counts.positiveInt("--conf-table-bits",
+                                   need_value("--conf-table-bits"));
             if (bits > 24) {
                 std::fprintf(stderr,
                              "--conf-table-bits expects 1..24, got %d\n",
@@ -347,39 +312,31 @@ main(int argc, char **argv)
             // Optional A:B cycle-window operand.
             if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0) {
                 const char *w = argv[++i];
-                char *end = nullptr;
-                errno = 0;
-                const unsigned long long a = std::strtoull(w, &end, 10);
-                if (errno == ERANGE || end == w || *end != ':') {
+                const std::string_view window(w);
+                const std::size_t colon = window.find(':');
+                const auto a = cli::parseCount(window.substr(0, colon));
+                const auto b = colon == std::string_view::npos
+                                   ? std::nullopt
+                                   : cli::parseCount(window.substr(colon + 1));
+                if (!a || !b || *b < *a) {
                     std::fprintf(
                         stderr,
                         "--pipeline window must be A:B, got '%s'\n", w);
                     return 2;
                 }
-                const char *btext = end + 1;
-                errno = 0;
-                const unsigned long long b =
-                    std::strtoull(btext, &end, 10);
-                if (errno == ERANGE || end == btext || *end != '\0'
-                    || b < a) {
-                    std::fprintf(
-                        stderr,
-                        "--pipeline window must be A:B, got '%s'\n", w);
-                    return 2;
-                }
-                pipeline_from = a;
-                pipeline_to = b;
+                pipeline_from = *a;
+                pipeline_to = *b;
             }
         } else if (!std::strcmp(argv[i], "--trace-retain")) {
             cfg.traceRetain = static_cast<std::size_t>(
-                parsePositiveInt(argv[0], "--trace-retain",
-                                 need_value("--trace-retain")));
+                counts.positiveInt("--trace-retain",
+                                   need_value("--trace-retain")));
         } else if (!std::strcmp(argv[i], "--trace-json")) {
             trace_json_path = need_value("--trace-json");
         } else if (!std::strcmp(argv[i], "--metrics-interval")) {
             cfg.metricsInterval = static_cast<std::uint64_t>(
-                parsePositiveInt(argv[0], "--metrics-interval",
-                                 need_value("--metrics-interval")));
+                counts.positiveInt("--metrics-interval",
+                                   need_value("--metrics-interval")));
         } else if (!std::strcmp(argv[i], "--metrics")) {
             metrics_path = need_value("--metrics");
         } else if (!std::strcmp(argv[i], "--counters")) {
@@ -396,42 +353,41 @@ main(int argc, char **argv)
             ledger_path = need_value("--ledger");
         } else if (!std::strcmp(argv[i], "--ledger-limit")) {
             ledger_limit = static_cast<std::size_t>(
-                parsePositiveInt(argv[0], "--ledger-limit",
-                                 need_value("--ledger-limit")));
+                counts.positiveInt("--ledger-limit",
+                                   need_value("--ledger-limit")));
             ledger_limit_set = true;
         } else if (!std::strcmp(argv[i], "--shards")) {
-            cfg.shards = parsePositiveU64(argv[0], "--shards",
-                                          need_value("--shards"));
+            cfg.shards = counts.positiveU64("--shards",
+                                            need_value("--shards"));
         } else if (!std::strcmp(argv[i], "--interval-insts")) {
             cfg.intervalInsts =
-                parsePositiveU64(argv[0], "--interval-insts",
-                                 need_value("--interval-insts"));
+                counts.positiveU64("--interval-insts",
+                                   need_value("--interval-insts"));
         } else if (!std::strcmp(argv[i], "--warmup-insts")) {
             const char *w = need_value("--warmup-insts");
             cfg.warmupInsts =
                 !std::strcmp(w, "full")
                     ? UINT64_MAX
-                    : parsePositiveU64(argv[0], "--warmup-insts", w);
+                    : counts.positiveU64("--warmup-insts", w);
             warmup_set = true;
         } else if (!std::strcmp(argv[i], "--sample")) {
-            cfg.sampleK = parsePositiveU64(argv[0], "--sample",
-                                           need_value("--sample"));
+            cfg.sampleK = counts.positiveU64("--sample",
+                                             need_value("--sample"));
         } else if (!std::strcmp(argv[i], "--sample-interval-insts")) {
-            cfg.sampleIntervalInsts = parsePositiveU64(
-                argv[0], "--sample-interval-insts",
-                need_value("--sample-interval-insts"));
+            cfg.sampleIntervalInsts =
+                counts.positiveU64("--sample-interval-insts",
+                                   need_value("--sample-interval-insts"));
         } else if (!std::strcmp(argv[i], "--jobs")) {
-            cfg.shardJobs = parsePositiveInt(argv[0], "--jobs",
-                                             need_value("--jobs"));
+            cfg.shardJobs = counts.positiveInt("--jobs", need_value("--jobs"));
             jobs_set = true;
         } else if (!std::strcmp(argv[i], "--progress")) {
             progress = true;
         } else if (!std::strcmp(argv[i], "--cache-dir")) {
             cache_dir = need_value("--cache-dir");
         } else if (!std::strcmp(argv[i], "--cache-max-bytes")) {
-            cache_max_bytes = parsePositiveU64(
-                argv[0], "--cache-max-bytes",
-                need_value("--cache-max-bytes"));
+            cache_max_bytes =
+                counts.positiveU64("--cache-max-bytes",
+                                   need_value("--cache-max-bytes"));
         } else if (!std::strcmp(argv[i], "--json")) {
             json = true;
             // Optional output path operand.
@@ -504,8 +460,7 @@ main(int argc, char **argv)
     if (cache_max_bytes == 0) {
         const char *env = std::getenv("VSIM_CACHE_MAX_BYTES");
         if (env && *env)
-            cache_max_bytes = parsePositiveU64(
-                argv[0], "VSIM_CACHE_MAX_BYTES", env);
+            cache_max_bytes = counts.positiveU64("VSIM_CACHE_MAX_BYTES", env);
     }
     if (cache_max_bytes > 0 && cache_dir.empty()) {
         std::fprintf(stderr, "--cache-max-bytes needs --cache-dir "

@@ -1,28 +1,26 @@
 /**
  * @file
- * vspec-sweep: run an arbitrary named sweep from the command line on
- * the parallel sweep engine, and emit the results as a text table
- * and/or machine-readable JSON/CSV. The named sweeps are the job
- * lists behind the bench figures and ablations (see
- * vsim/sim/sweep.cc); this tool makes them scriptable without
- * recompiling a bench binary.
+ * vspec-sweep: run a named sweep from the command line on the
+ * parallel sweep engine, and emit the results as a text table and/or
+ * machine-readable JSON/CSV. The named sweeps are the paper's tables,
+ * figures and ablations (see vsim/sim/figures.cc): the tool prints one
+ * row per cell, a blank line, and then the table the paper shows.
  *
  *   vspec-sweep --list
  *   vspec-sweep fig3 --quick --jobs 8
  *   vspec-sweep confidence --json conf.json --csv conf.csv
  */
 
-#include <cerrno>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "cli_counts.hh"
 #include "vsim/base/logging.hh"
 #include "vsim/base/stats.hh"
 #include "vsim/core/spec_model.hh"
@@ -147,48 +145,13 @@ usage(const char *argv0)
     listSweeps(stderr, "  ");
 }
 
-int
-parsePositiveInt(const char *argv0, const char *flag, const char *text)
-{
-    errno = 0;
-    char *end = nullptr;
-    const long v = std::strtol(text, &end, 10);
-    if (end == text || *end != '\0' || errno == ERANGE || v <= 0
-        || v > std::numeric_limits<int>::max()) {
-        std::fprintf(stderr, "%s expects a positive integer, got '%s'\n",
-                     flag, text);
-        usage(argv0);
-        std::exit(2);
-    }
-    return static_cast<int>(v);
-}
-
-/**
- * Full-token positive 64-bit count; exits with usage on anything else
- * (including negative numbers, which strtoull would silently wrap).
- */
-std::uint64_t
-parsePositiveU64(const char *argv0, const char *flag, const char *text)
-{
-    errno = 0;
-    char *end = nullptr;
-    const unsigned long long v = std::strtoull(text, &end, 10);
-    if (text[0] == '-' || text[0] == '+' || end == text || *end != '\0'
-        || errno == ERANGE || v == 0) {
-        std::fprintf(stderr, "%s expects a positive count, got '%s'\n",
-                     flag, text);
-        usage(argv0);
-        std::exit(2);
-    }
-    return static_cast<std::uint64_t>(v);
-}
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
     using namespace vsim;
+    const cli::CountParser counts{argv[0], usage};
 
     std::string name, json_path, csv_path;
     std::string metrics_path, trace_json_path;
@@ -232,19 +195,17 @@ main(int argc, char **argv)
         } else if (!std::strcmp(argv[i], "--quick")) {
             opt.quick = true;
         } else if (!std::strcmp(argv[i], "--scale")) {
-            opt.scale = parsePositiveInt(argv[0], "--scale",
-                                         need_value("--scale"));
+            opt.scale = counts.positiveInt("--scale", need_value("--scale"));
         } else if (!std::strcmp(argv[i], "--jobs")) {
-            jobs = parsePositiveInt(argv[0], "--jobs",
-                                    need_value("--jobs"));
+            jobs = counts.positiveInt("--jobs", need_value("--jobs"));
         } else if (!std::strcmp(argv[i], "--json")) {
             json_path = need_value("--json");
         } else if (!std::strcmp(argv[i], "--csv")) {
             csv_path = need_value("--csv");
         } else if (!std::strcmp(argv[i], "--metrics-interval")) {
             metrics_interval = static_cast<std::uint64_t>(
-                parsePositiveInt(argv[0], "--metrics-interval",
-                                 need_value("--metrics-interval")));
+                counts.positiveInt("--metrics-interval",
+                                   need_value("--metrics-interval")));
         } else if (!std::strcmp(argv[i], "--metrics")) {
             metrics_path = need_value("--metrics");
         } else if (!std::strcmp(argv[i], "--stacks")) {
@@ -253,8 +214,8 @@ main(int argc, char **argv)
             ledger_path = need_value("--ledger");
         } else if (!std::strcmp(argv[i], "--ledger-limit")) {
             ledger_limit = static_cast<std::size_t>(
-                parsePositiveInt(argv[0], "--ledger-limit",
-                                 need_value("--ledger-limit")));
+                counts.positiveInt("--ledger-limit",
+                                   need_value("--ledger-limit")));
             ledger_limit_set = true;
         } else if (!std::strcmp(argv[i], "--trace-json")) {
             trace_json_path = need_value("--trace-json");
@@ -309,8 +270,8 @@ main(int argc, char **argv)
             opt.workloads.push_back(
                 sim::traceWorkloadName(need_value("--trace")));
         } else if (!std::strcmp(argv[i], "--window")) {
-            window_override = parsePositiveInt(argv[0], "--window",
-                                               need_value("--window"));
+            window_override = counts.positiveInt("--window",
+                                                 need_value("--window"));
             if (*window_override > core::kMaxWindow) {
                 std::fprintf(stderr,
                              "--window %d exceeds the supported "
@@ -319,39 +280,38 @@ main(int argc, char **argv)
                 return 2;
             }
         } else if (!std::strcmp(argv[i], "--fetch-width")) {
-            fetch_width_override = parsePositiveInt(
-                argv[0], "--fetch-width", need_value("--fetch-width"));
+            fetch_width_override =
+                counts.positiveInt("--fetch-width",
+                                   need_value("--fetch-width"));
         } else if (!std::strcmp(argv[i], "--shards")) {
-            shards = parsePositiveU64(argv[0], "--shards",
-                                      need_value("--shards"));
+            shards = counts.positiveU64("--shards", need_value("--shards"));
         } else if (!std::strcmp(argv[i], "--interval-insts")) {
             interval_insts =
-                parsePositiveU64(argv[0], "--interval-insts",
-                                 need_value("--interval-insts"));
+                counts.positiveU64("--interval-insts",
+                                   need_value("--interval-insts"));
         } else if (!std::strcmp(argv[i], "--warmup-insts")) {
             const char *w = need_value("--warmup-insts");
             warmup_insts =
                 !std::strcmp(w, "full")
                     ? UINT64_MAX
-                    : parsePositiveU64(argv[0], "--warmup-insts", w);
+                    : counts.positiveU64("--warmup-insts", w);
             warmup_set = true;
         } else if (!std::strcmp(argv[i], "--sample")) {
-            sample_k = parsePositiveU64(argv[0], "--sample",
-                                        need_value("--sample"));
+            sample_k = counts.positiveU64("--sample", need_value("--sample"));
         } else if (!std::strcmp(argv[i], "--sample-interval-insts")) {
-            sample_interval_insts = parsePositiveU64(
-                argv[0], "--sample-interval-insts",
-                need_value("--sample-interval-insts"));
+            sample_interval_insts =
+                counts.positiveU64("--sample-interval-insts",
+                                   need_value("--sample-interval-insts"));
         } else if (!std::strcmp(argv[i], "--shard-jobs")) {
-            shard_jobs = parsePositiveInt(argv[0], "--shard-jobs",
-                                          need_value("--shard-jobs"));
+            shard_jobs = counts.positiveInt("--shard-jobs",
+                                            need_value("--shard-jobs"));
             shard_jobs_set = true;
         } else if (!std::strcmp(argv[i], "--cache-dir")) {
             cache_dir = need_value("--cache-dir");
         } else if (!std::strcmp(argv[i], "--cache-max-bytes")) {
-            cache_max_bytes = parsePositiveU64(
-                argv[0], "--cache-max-bytes",
-                need_value("--cache-max-bytes"));
+            cache_max_bytes =
+                counts.positiveU64("--cache-max-bytes",
+                                   need_value("--cache-max-bytes"));
         } else if (!std::strcmp(argv[i], "--sweep-kind")) {
             const std::string k = need_value("--sweep-kind");
             if (k == "sparse")
@@ -414,8 +374,7 @@ main(int argc, char **argv)
     if (cache_max_bytes == 0) {
         const char *env = std::getenv("VSIM_CACHE_MAX_BYTES");
         if (env && *env)
-            cache_max_bytes = parsePositiveU64(
-                argv[0], "VSIM_CACHE_MAX_BYTES", env);
+            cache_max_bytes = counts.positiveU64("VSIM_CACHE_MAX_BYTES", env);
     }
     if (cache_max_bytes > 0 && cache_dir.empty()) {
         std::fprintf(stderr, "--cache-max-bytes needs --cache-dir "
@@ -515,6 +474,9 @@ main(int argc, char **argv)
                      : "-"});
         }
         std::printf("%s", table.render().c_str());
+        const std::string figure = spec.render(opt, results);
+        if (!figure.empty())
+            std::printf("\n%s", figure.c_str());
 
         if (!json_path.empty()) {
             sim::writeFile(json_path,

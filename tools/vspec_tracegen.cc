@@ -11,15 +11,14 @@
  *   vspec-tracegen --all --out-dir traces/
  */
 
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <limits>
 #include <sstream>
 #include <string>
 
+#include "cli_counts.hh"
 #include "vsim/assembler/assembler.hh"
 #include "vsim/base/logging.hh"
 #include "vsim/trace/trace_io.hh"
@@ -51,22 +50,6 @@ usage(const char *argv0)
         "(files are <name>.vst)\n");
 }
 
-int
-parsePositiveInt(const char *argv0, const char *flag, const char *text)
-{
-    errno = 0;
-    char *end = nullptr;
-    const long v = std::strtol(text, &end, 10);
-    if (end == text || *end != '\0' || errno == ERANGE || v <= 0
-        || v > std::numeric_limits<int>::max()) {
-        std::fprintf(stderr, "%s expects a positive integer, got '%s'\n",
-                     flag, text);
-        usage(argv0);
-        std::exit(2);
-    }
-    return static_cast<int>(v);
-}
-
 /** Record @p prog to @p path and re-validate the file end to end. */
 void
 generate(const vsim::assembler::Program &prog, const std::string &path,
@@ -92,6 +75,7 @@ int
 main(int argc, char **argv)
 {
     using namespace vsim;
+    const cli::CountParser counts{argv[0], usage};
 
     std::string workload, asm_file, out_path, out_dir;
     int scale = -1;
@@ -112,8 +96,7 @@ main(int argc, char **argv)
         } else if (!std::strcmp(argv[i], "--all")) {
             all = true;
         } else if (!std::strcmp(argv[i], "--scale")) {
-            scale = parsePositiveInt(argv[0], "--scale",
-                                     need_value("--scale"));
+            scale = counts.positiveInt("--scale", need_value("--scale"));
         } else if (!std::strcmp(argv[i], "-o")
                    || !std::strcmp(argv[i], "--out")) {
             out_path = need_value("--out");
