@@ -54,18 +54,24 @@ cmake --build build-tsan -j --target test_disk_cache
 ./build-tsan/tests/test_disk_cache --gtest_filter='-DiskCacheProcess.*'
 # Sampled replay details representatives on the shared ThreadPool and
 # merges their weighted stats in plan order; the jobs-1-vs-4 identity
-# test drives that path end to end. The eight-kernel error-bound test
-# stays in ctest: it reruns every kernel at full detail.
+# test drives that path end to end, and the BBV worker-count test
+# profiles interval ranges on several threads. The eight-kernel
+# error-bound test stays in ctest: it reruns every kernel at full
+# detail.
 cmake --build build-tsan -j --target test_sample
 ./build-tsan/tests/test_sample --gtest_filter=\
-'SampledRun.*-SampledRun.SpeedupErrorWithinBoundOnEveryKernel'
-# Trace recording and loading fold the footer digest on a helper
-# thread over a ring of record bursts; the rejection cases (defects
-# past the ring's first lap included) fail loads mid-stream, which
-# must join the helper.
+'SampledRun.*:Bbv.ProfileIsIdenticalAcrossWorkerCounts-SampledRun.SpeedupErrorWithinBoundOnEveryKernel'
+# A trace load splits the records into contiguous ranges of bursts,
+# one per worker, and each worker reads, digests and decodes its range
+# into its own part of the entries; the caller joins them and checks
+# the seams. Every rejection case loads on one worker and on four
+# (defects at worker-range seams and deep in the file included), the
+# queens round trip loads on 1, 2, 3, 4 and 7, and failed loads must
+# join every worker. TraceWriter.* checks that recording and a
+# one-worker load start no thread.
 cmake --build build-tsan -j --target test_trace
 ./build-tsan/tests/test_trace --gtest_filter=\
-'TraceReject.*:TraceRoundTrip.Queens:TraceWorkload.*'
+'TraceReject.*:TraceRoundTrip.Queens:TraceWorkload.*:TraceWriter.*'
 
 echo "== tier-1: Address+UB Sanitizer (core, policy, scheduler, sweep) =="
 # UBSan only prints by default; halting turns every report into a
@@ -117,12 +123,14 @@ cmake --build build-asan -j --target \
 'Seeds/FuzzDifferential.*specmem*:Seeds/FuzzDifferential.*unaligned*'
 # The trace frontend moves raw bytes through fixed-layout structs and
 # hand-rolled buffers — exactly ASan/UBSan territory. Run the strict-
-# reader rejection cases (burst-seam defects included), the content-
-# hash tests and one full record/replay round trip (queens covers both
-# window sizes and both sweep kinds).
+# reader rejection cases (burst- and worker-range-seam defects
+# included, each on one worker and on four), the content-hash tests,
+# the writer's pinned bytes and one full record/replay round trip
+# (queens covers both window sizes, both sweep kinds and loads on 1 to
+# 7 workers).
 cmake --build build-asan -j --target test_trace
 ./build-asan/tests/test_trace --gtest_filter=\
-'TraceReject.*:TraceHash.*:TraceRoundTrip.Queens:TraceWorkload.*'
+'TraceReject.*:TraceHash.*:TraceRoundTrip.Queens:TraceWorkload.*:TraceWriter.*'
 # Snapshot serialization moves raw bytes through tagged sections, and
 # the full-warmup shard merge walks every seam-coalescing path
 # (interval halves, ledger carries) over slot-indexed state — both

@@ -83,6 +83,11 @@ class BbvAccumulator
         }
     }
 
+    /** Start mid-block: charge the next instructions, up to the next
+     *  control transfer, to the block that began at @p block_start_pc.
+     *  Call before the first step(). */
+    void resumeBlock(std::uint64_t block_start_pc);
+
     /** Flush the trailing partial interval, if any instructions are
      *  pending. Idempotent; step() must not be called afterwards. */
     void finish();
@@ -103,9 +108,13 @@ class BbvAccumulator
  * Profile a whole recorded trace: one Bbv per @p interval_insts
  * instructions of @p trace (the last interval may be short). The
  * number of vectors is ceil(entries / K); an empty trace yields none.
+ * @p workers profile contiguous ranges of intervals side by side, each
+ * starting from the block in flight at its first instruction, so the
+ * vectors are identical for any worker count; one worker starts no
+ * thread.
  */
 std::vector<Bbv> profileBbv(const ExecTrace &trace,
-                            std::uint64_t interval_insts);
+                            std::uint64_t interval_insts, int workers = 1);
 
 } // namespace vsim::arch
 

@@ -99,8 +99,8 @@ preExecute(const assembler::Program &prog, std::uint64_t max_insts)
             VSIM_FATAL("pre-execution did not halt within ", max_insts,
                        " instructions");
         }
-        // Record in place: a second copy per entry is measurable over
-        // a multi-gigabyte trace.
+        // Record in place (step() writes every field): a second copy
+        // per entry is measurable over a multi-gigabyte trace.
         trace.entries.emplace_back();
         core.step(&trace.entries.back());
     }

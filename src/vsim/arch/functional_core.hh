@@ -14,7 +14,10 @@
 
 #include <array>
 #include <cstdint>
+#include <memory>
+#include <new>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "vsim/assembler/program.hh"
@@ -60,12 +63,42 @@ struct TraceEntry
     std::uint64_t nextPc = 0;
     std::uint64_t memAddr = 0; //!< effective address; 0 for non-memory
     isa::Inst inst;
+
+    bool operator==(const TraceEntry &) const = default;
+};
+
+/**
+ * std::allocator, except that construct() with no value leaves the
+ * element to the caller: resize() reserves the pages without writing
+ * them, so whoever writes an element first touches its page. The
+ * trace loader sizes the entries once and has each of its workers
+ * fill, and so fault in, its own part of them.
+ */
+template <class T>
+struct UninitAllocator : std::allocator<T>
+{
+    UninitAllocator() = default;
+    template <class U>
+    UninitAllocator(const UninitAllocator<U> &) noexcept
+    {}
+
+    template <class U>
+    void
+    construct(U *) noexcept
+    {}
+
+    template <class U, class... Args>
+    void
+    construct(U *p, Args &&...args)
+    {
+        ::new (static_cast<void *>(p)) U(std::forward<Args>(args)...);
+    }
 };
 
 /** Result of a complete functional pre-execution. */
 struct ExecTrace
 {
-    std::vector<TraceEntry> entries;
+    std::vector<TraceEntry, UninitAllocator<TraceEntry>> entries;
     std::string output;
     std::uint64_t exitCode = 0;
 };

@@ -1,5 +1,8 @@
 #include "thread_pool.hh"
 
+#include <atomic>
+#include <exception>
+
 #include "logging.hh"
 
 namespace vsim
@@ -9,6 +12,8 @@ namespace
 {
 
 thread_local int tlsWorkerIndex = -1;
+
+std::atomic<std::uint64_t> threadsStarted{0};
 
 } // namespace
 
@@ -89,6 +94,47 @@ ThreadPool::workerLoop(int index)
                 allIdle.notify_all();
         }
     }
+}
+
+void
+runConcurrently(int n, const std::function<void(int)> &task)
+{
+    if (n < 1)
+        return;
+    const std::size_t count = static_cast<std::size_t>(n);
+    std::vector<std::exception_ptr> errors(count);
+    auto guarded = [&](std::size_t i) {
+        try {
+            task(static_cast<int>(i));
+        } catch (...) {
+            errors[i] = std::current_exception();
+        }
+    };
+    std::vector<std::thread> threads;
+    threads.reserve(count - 1);
+    try {
+        for (std::size_t i = 1; i < count; ++i) {
+            threads.emplace_back(guarded, i);
+            threadsStarted.fetch_add(1, std::memory_order_relaxed);
+        }
+    } catch (...) {
+        // Could not start them all: join the ones that did start.
+        for (std::thread &t : threads)
+            t.join();
+        throw;
+    }
+    guarded(0);
+    for (std::thread &t : threads)
+        t.join();
+    for (const std::exception_ptr &e : errors)
+        if (e)
+            std::rethrow_exception(e);
+}
+
+std::uint64_t
+concurrentThreadsStarted()
+{
+    return threadsStarted.load(std::memory_order_relaxed);
 }
 
 } // namespace vsim

@@ -11,6 +11,7 @@
 
 #include <condition_variable>
 #include <cstddef>
+#include <cstdint>
 #include <deque>
 #include <functional>
 #include <mutex>
@@ -65,6 +66,21 @@ class ThreadPool
     std::size_t running = 0;           //!< tasks currently executing
     bool stopping = false;
 };
+
+/**
+ * Run task(0) .. task(n - 1) at once and return when every one has
+ * finished: task(0) on the caller, each other task on a thread of its
+ * own, so n == 1 starts no thread (and n < 1 runs nothing). Tasks may
+ * throw: once all have finished, the exception of the lowest-numbered
+ * task that threw is rethrown.
+ */
+void runConcurrently(int n, const std::function<void(int)> &task);
+
+/**
+ * Threads runConcurrently() has started in this process so far.
+ * Read-only; tests use it to check that serial paths start none.
+ */
+std::uint64_t concurrentThreadsStarted();
 
 } // namespace vsim
 

@@ -7,7 +7,8 @@
  * table the paper shows. The renderer walks the same axes in the same
  * order and reads each result at the position its block was given,
  * never by label: vspec_sweep's --window and --fetch-width overrides
- * rewrite the labels.
+ * rewrite the labels. Every machine and model a table names is read
+ * from the configuration its block ran, after those overrides.
  */
 
 #include <cstdint>
@@ -76,16 +77,49 @@ pct(std::uint64_t num, std::uint64_t denom)
     return 100.0 * static_cast<double>(num) / static_cast<double>(denom);
 }
 
-/** A figure's results; cell w of the block at position b is b + w. */
+/**
+ * A figure's jobs, as they ran, and their results; cell w of the block
+ * at position b is b + w.
+ */
 struct Cells
 {
     const std::vector<std::string> &workloads;
+    const std::vector<SweepJob> &jobs;
     const std::vector<RunResult> &results;
 
     const RunResult &
     at(std::size_t block, std::size_t w) const
     {
         return results.at(block + w);
+    }
+
+    /** The configuration every cell of block @p block ran. */
+    const core::CoreConfig &
+    config(std::size_t block) const
+    {
+        return jobs.at(block).cfg;
+    }
+
+    /**
+     * The machine block @p block ran: "<issue width>/<window size>",
+     * plus its fetch width when that was set apart from the issue
+     * width.
+     */
+    std::string
+    machine(std::size_t block) const
+    {
+        const core::CoreConfig &cfg = config(block);
+        std::string label =
+            MachineConfig{cfg.issueWidth, cfg.windowSize}.label();
+        if (cfg.fetchWidth >= 0)
+            label += " fetch=" + std::to_string(cfg.fetchWidth);
+        return label;
+    }
+
+    const std::string &
+    model(std::size_t block) const
+    {
+        return config(block).model.name;
     }
 
     /** Speedup of block @p vp over block @p base, per workload. */
@@ -319,16 +353,16 @@ fig3Figure(const SweepOptions &opt)
         for (const auto &[timing, conf] : combos)
             header.push_back(timingConfLabel(timing, conf));
         auto next = vp.begin();
-        for (std::size_t mi = 0; mi < machines.size(); ++mi) {
-            out += "-- machine " + machines[mi].label()
+        for (const std::size_t b : base) {
+            out += "-- machine " + c.machine(b)
                    + " (issue width / window size) --\n";
             TextTable table;
             table.setHeader(header);
-            for (const SpecModel &model : models) {
-                std::vector<std::string> row = {model.name};
+            for (std::size_t m = 0; m < models.size(); ++m) {
+                std::vector<std::string> row = {c.model(*next)};
                 for (std::size_t k = 0; k < combos.size(); ++k)
-                    row.push_back(TextTable::fmt(
-                        c.hmeanSpeedup(base[mi], *next++), 3));
+                    row.push_back(
+                        TextTable::fmt(c.hmeanSpeedup(b, *next++), 3));
                 table.addRow(row);
             }
             out += table.render() + "\n";
@@ -359,23 +393,22 @@ fig4Figure(const SweepOptions &opt)
         TextTable table;
         table.setHeader({"config", "timing", "CH %", "CL %", "IH %",
                          "IL %", "correct %"});
-        auto next = blocks.begin();
-        for (const auto &m : machines) {
-            for (UpdateTiming timing : timings) {
-                const std::size_t b = *next++;
-                const double ch = c.classShare(b, &CoreStats::vpCH);
-                const double cl = c.classShare(b, &CoreStats::vpCL);
-                const double ih = c.classShare(b, &CoreStats::vpIH);
-                const double il = c.classShare(b, &CoreStats::vpIL);
-                table.addRow({m.label(),
-                              timing == UpdateTiming::Delayed ? "D" : "I",
-                              TextTable::fmt(ch, 1), TextTable::fmt(cl, 1),
-                              TextTable::fmt(ih, 2), TextTable::fmt(il, 1),
-                              TextTable::fmt(ch + cl, 1)});
-            }
+        for (const std::size_t b : blocks) {
+            const double ch = c.classShare(b, &CoreStats::vpCH);
+            const double cl = c.classShare(b, &CoreStats::vpCL);
+            const double ih = c.classShare(b, &CoreStats::vpIH);
+            const double il = c.classShare(b, &CoreStats::vpIL);
+            table.addRow(
+                {c.machine(b),
+                 c.config(b).updateTiming == UpdateTiming::Delayed ? "D"
+                                                                   : "I",
+                 TextTable::fmt(ch, 1), TextTable::fmt(cl, 1),
+                 TextTable::fmt(ih, 2), TextTable::fmt(il, 1),
+                 TextTable::fmt(ch + cl, 1)});
         }
-        return section("Figure 4: Average prediction accuracy (great "
-                       "model, real confidence)",
+        return section("Figure 4: Average prediction accuracy ("
+                           + c.model(blocks.front())
+                           + " model, real confidence)",
                        table);
     };
     return f;
@@ -430,8 +463,9 @@ confidenceFigure(const SweepOptions &opt)
                  TextTable::fmt(c.classShare(b, &CoreStats::vpCL), 1),
                  TextTable::fmt(c.classShare(b, &CoreStats::vpIH), 2)});
         }
-        return section("Ablation: confidence estimation (8/48, great, "
-                       "delayed update)",
+        return section("Ablation: confidence estimation ("
+                           + c.machine(blocks.front()) + ", "
+                           + c.model(blocks.front()) + ", delayed update)",
                        table);
     };
     return f;
@@ -467,8 +501,10 @@ predictorsFigure(const SweepOptions &opt)
                           TextTable::fmt(c.hmeanSpeedup(base, blocks[p]), 3),
                           TextTable::fmt(acc, 1)});
         }
-        return section("Ablation: value predictor (8/48, great, oracle "
-                       "confidence, immediate update)",
+        return section("Ablation: value predictor ("
+                           + c.machine(blocks.front()) + ", "
+                           + c.model(blocks.front())
+                           + ", oracle confidence, immediate update)",
                        table);
     };
     return f;
@@ -511,8 +547,9 @@ verifSchemeFigure(const SweepOptions &opt)
         for (ConfidenceKind conf : confs) {
             const std::vector<std::size_t> vps(next, next + schemes.size());
             next += schemes.size();
-            out += section(std::string("Ablation: verification scheme "
-                                       "(8/48, great latencies, ")
+            out += section("Ablation: verification scheme ("
+                               + c.machine(vps.front()) + ", "
+                               + c.model(vps.front()) + " latencies, "
                                + confName(conf) + " confidence)",
                            speedupTable(c, header, base, vps));
         }
@@ -546,7 +583,9 @@ verifLatencyFigure(const SweepOptions &opt)
         for (int lat : lats)
             header.push_back("lat=" + std::to_string(lat));
         return section("Ablation: Execution-Equality-Verification latency "
-                       "sweep (8/48, oracle confidence)",
+                       "sweep ("
+                           + c.machine(blocks.front())
+                           + ", oracle confidence)",
                        speedupTable(c, header, base, blocks));
     };
     return f;
@@ -586,8 +625,8 @@ reissueLatencyFigure(const SweepOptions &opt)
         for (ConfidenceKind conf : confs) {
             const std::vector<std::size_t> vps(next, next + lats.size());
             next += lats.size();
-            out += section(std::string("Ablation: Invalidation-Reissue "
-                                       "latency sweep (8/48, ")
+            out += section("Ablation: Invalidation-Reissue latency sweep ("
+                               + c.machine(vps.front()) + ", "
                                + confName(conf)
                                + " confidence, immediate update)",
                            speedupTable(c, header, base, vps));
@@ -628,9 +667,9 @@ branchResolutionFigure(const SweepOptions &opt)
             const std::size_t valid = *next++;
             const std::size_t spec = *next++;
             out += section(
-                std::string("Ablation: branch resolution policy (8/48, "
-                            "great, ")
-                    + confName(conf) + " confidence, immediate update)",
+                "Ablation: branch resolution policy (" + c.machine(valid)
+                    + ", " + c.model(valid) + ", " + confName(conf)
+                    + " confidence, immediate update)",
                 policyTable(c,
                             {"workload", "valid-only", "speculative",
                              "squashes(valid)", "squashes(spec)"},
@@ -669,11 +708,12 @@ memResolutionFigure(const SweepOptions &opt)
     f.table = [=](const Cells &c) {
         std::string out;
         auto next = blocks.begin();
-        for (const std::string &name : models) {
+        for (std::size_t m = 0; m < models.size(); ++m) {
             const std::size_t valid = *next++;
             const std::size_t spec = *next++;
             out += section(
-                "Ablation: memory resolution policy (8/48, " + name
+                "Ablation: memory resolution policy (" + c.machine(valid)
+                    + ", " + c.model(valid)
                     + ", real confidence, delayed update)",
                 policyTable(c,
                             {"workload", "valid-ops", "spec-mem",
@@ -724,14 +764,15 @@ selectionFigure(const SweepOptions &opt)
         std::string out;
         auto next = blocks.begin();
         for (ConfidenceKind conf : confs) {
+            const std::size_t first = *next;
             TextTable table;
             table.setHeader({"policy", "hmean speedup"});
             for (const auto &policy : policies)
                 table.addRow({policy.first,
                               TextTable::fmt(c.hmeanSpeedup(base, *next++),
                                              3)});
-            out += section(std::string("Ablation: selection policy (8/48, "
-                                       "great, ")
+            out += section("Ablation: selection policy (" + c.machine(first)
+                               + ", " + c.model(first) + ", "
                                + confName(conf)
                                + " confidence, immediate update)",
                            table);
@@ -749,13 +790,17 @@ named(std::string name, std::string description,
     return {std::move(name), std::move(description),
             [define](const SweepOptions &opt) { return define(opt).jobs; },
             [define](const SweepOptions &opt,
+                     const std::vector<SweepJob> &jobs,
                      const std::vector<RunResult> &results) {
                 const Figure f = define(opt);
-                VSIM_ASSERT(results.size() == f.jobs.size(),
-                            "figure rendered from ", results.size(),
-                            " results for ", f.jobs.size(), " jobs");
-                return f.table ? f.table(Cells{f.workloads, results})
-                               : std::string();
+                VSIM_ASSERT(jobs.size() == f.jobs.size()
+                                && results.size() == f.jobs.size(),
+                            "figure rendered from ", jobs.size(),
+                            " jobs and ", results.size(), " results for ",
+                            f.jobs.size(), " jobs");
+                return f.table
+                           ? f.table(Cells{f.workloads, jobs, results})
+                           : std::string();
             }};
 }
 

@@ -100,6 +100,14 @@ struct ShardResult
     std::exception_ptr error;
 };
 
+/** Workers a sharded or sampled run uses (cfg.shardJobs; 0 = all). */
+int
+shardWorkers(const core::CoreConfig &cfg)
+{
+    return cfg.shardJobs <= 0 ? ThreadPool::defaultThreadCount()
+                              : cfg.shardJobs;
+}
+
 double
 secondsSince(std::chrono::steady_clock::time_point t0)
 {
@@ -168,8 +176,7 @@ executePlans(const core::CoreConfig &cfg, const assembler::Program &prog,
         }
     };
 
-    const int jobs = cfg.shardJobs <= 0 ? ThreadPool::defaultThreadCount()
-                                        : cfg.shardJobs;
+    const int jobs = shardWorkers(cfg);
     // Declared after everything its tasks use, so that an exception
     // on the caller drains and joins it before those go away.
     std::optional<ThreadPool> pool;
@@ -218,9 +225,10 @@ executePlans(const core::CoreConfig &cfg, const assembler::Program &prog,
 
 /**
  * SimPoint-style sampled replay (see shard.hh): fingerprint the
- * trace's K-instruction intervals with BBVs, cluster them into at most
- * cfg.sampleK phases, simulate one representative per phase in detail
- * and fold its statistics under the phase population.
+ * trace's K-instruction intervals with BBVs (on the run's workers),
+ * cluster them into at most cfg.sampleK phases, simulate one
+ * representative per phase in detail and fold its statistics under
+ * the phase population.
  */
 RunResult
 runSampled(const core::CoreConfig &cfg, const std::string &workload,
@@ -233,7 +241,8 @@ runSampled(const core::CoreConfig &cfg, const std::string &workload,
                                 : kDefaultSampleIntervalInsts;
 
     const auto tProfile = std::chrono::steady_clock::now();
-    const std::vector<arch::Bbv> bbvs = arch::profileBbv(*trace, K);
+    const std::vector<arch::Bbv> bbvs =
+        arch::profileBbv(*trace, K, shardWorkers(cfg));
     const std::size_t n = bbvs.size();
     VSIM_ASSERT(n > 0, "cannot sample an empty trace");
 
@@ -357,11 +366,11 @@ ShardRunner::run(const std::string &workload, int scale)
     validatePartition(cfg);
     // One program and oracle trace for every shard: a built-in kernel
     // is the shared one (a sweep's sharded cells use the kernel it
-    // pinned), and each shard core borrows the (potentially
-    // multi-gigabyte) trace through an aliasing handle instead of
-    // copying it.
+    // pinned), a recording is loaded on the run's workers, and each
+    // shard core borrows the (potentially multi-gigabyte) trace through
+    // an aliasing handle instead of copying it.
     const std::shared_ptr<const BuiltKernel> kernel =
-        workloadKernel(workload, scale);
+        workloadKernel(workload, scale, shardWorkers(cfg));
     const assembler::Program &prog = kernel->program;
     const std::shared_ptr<const arch::ExecTrace> trace(kernel,
                                                        &kernel->trace);

@@ -116,11 +116,12 @@ sharedKernelBuilds()
 }
 
 std::shared_ptr<const BuiltKernel>
-workloadKernel(const std::string &name, int scale)
+workloadKernel(const std::string &name, int scale, int load_workers)
 {
     if (!isTraceWorkload(name))
         return sharedKernel(name, scale);
-    trace::LoadedTrace loaded = trace::loadTrace(traceWorkloadPath(name));
+    trace::LoadedTrace loaded =
+        trace::loadTrace(traceWorkloadPath(name), load_workers);
     auto k = std::make_shared<BuiltKernel>();
     k->program = std::move(loaded.program);
     k->trace = std::move(loaded.trace);

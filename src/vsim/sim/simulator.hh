@@ -122,11 +122,12 @@ std::uint64_t sharedKernelBuilds();
 /**
  * The program and oracle trace behind workload @p name: the shared
  * built-in kernel (sharedKernel), or a "trace:<path>" recording loaded
- * for this caller alone. Every run, sharded and sampled ones included,
- * takes its kernel from here.
+ * for this caller alone, on @p load_workers (trace::loadTrace). Every
+ * run, sharded and sampled ones included, takes its kernel from here.
  */
 std::shared_ptr<const BuiltKernel> workloadKernel(const std::string &name,
-                                                  int scale);
+                                                  int scale,
+                                                  int load_workers = 1);
 
 /**
  * Build workload @p name at @p scale (-1 = default) and run it under

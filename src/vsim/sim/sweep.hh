@@ -239,10 +239,14 @@ struct NamedSweep
     std::string description;
     std::function<std::vector<SweepJob>(const SweepOptions &)> build;
     /**
-     * The figure's table from the results of build(opt), in job order;
-     * empty for a sweep with no figure (base).
+     * The figure's table from the jobs of build(opt) as they ran (a
+     * tool may have overridden their configurations) and their
+     * results, both in job order; empty for a sweep with no figure
+     * (base). Every machine and model the table names is read from the
+     * configuration its jobs ran.
      */
     std::function<std::string(const SweepOptions &,
+                              const std::vector<SweepJob> &,
                               const std::vector<RunResult> &)>
         render;
 };

@@ -19,23 +19,32 @@
  * embedded image exactly like direct simulation, which is what makes
  * replay digest-identical to simulating the original program.
  *
- * All integers are little-endian. File layout, version 1:
+ * All integers are little-endian. File layout, version 2:
  *
  *   TraceHeader                  (80 bytes, fixed)
  *   text image                   (textWords x u32)
  *   data image                   (dataBytes x u8)
  *   dynamic records              (recordCount x TraceRecord, 48 bytes)
  *   program output               (outputBytes x u8, PUTC/PUTI stream)
- *   TraceFooter                  (16 bytes: end magic + FNV-1a digest)
+ *   TraceFooter                  (16 bytes: end magic + payload digest)
  *
  * The footer digest covers every byte between the end of the header
  * and the start of the footer, so truncation, bit rot and a writer
- * that died mid-stream are all detected on load. The output section
- * follows the records so the generator can stream records while the
- * program runs; recordCount / outputBytes / exitCode are written into
- * the header by TraceWriter::finalize(), and a header whose
- * recordCount is still kUnfinalized marks an unfinished file and is
- * rejected by the reader.
+ * that died mid-stream are all detected on load. It is taken in
+ * pieces that split where the records do: the XXH64 (seed 0) of each
+ * piece, in file order -- the text image, the data image, every burst
+ * of kBurstRecords records (the last one may be short; an empty trace
+ * has none) and the output, empty pieces included -- and the footer
+ * holds the XXH64 of those piece digests laid end to end as
+ * little-endian u64s. A reader can therefore digest the bursts on any
+ * number of workers and fold the piece digests in order; version 1
+ * chained one FNV-1a over the whole payload, which no number of
+ * threads could split, and is rejected at the header. The output
+ * section follows the records so the generator can stream records
+ * while the program runs; recordCount / outputBytes / exitCode are
+ * written into the header by TraceWriter::finalize(), and a header
+ * whose recordCount is still kUnfinalized marks an unfinished file
+ * and is rejected by the reader.
  */
 
 #ifndef VSIM_TRACE_TRACE_FORMAT_HH
@@ -52,7 +61,10 @@ constexpr std::uint32_t kTraceMagic = 0x52545356u;
 /** "VSTE" little-endian (footer end marker). */
 constexpr std::uint32_t kTraceEndMagic = 0x45545356u;
 
-constexpr std::uint32_t kTraceVersion = 1;
+constexpr std::uint32_t kTraceVersion = 2;
+
+/** Records per digest piece (192 KiB of 48-byte records). */
+constexpr std::uint64_t kBurstRecords = 4096;
 
 /** recordCount placeholder while the writer is still appending. */
 constexpr std::uint64_t kUnfinalized = ~0ull;
@@ -110,12 +122,12 @@ struct TraceFooter
 {
     std::uint32_t endMagic = kTraceEndMagic;
     std::uint32_t pad = 0;
-    std::uint64_t digest = 0; //!< FNV-1a 64 of header-to-footer payload
+    std::uint64_t digest = 0; //!< XXH64 of the payload's piece digests
 };
 
 static_assert(sizeof(TraceFooter) == 16, "trace footer layout drifted");
 
-// ---- FNV-1a 64 (the payload digest; also the disk cache's checksums) --
+// ---- FNV-1a 64 (the disk cache's checksums) ---------------------------
 
 constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ull;
 constexpr std::uint64_t kFnvPrime = 0x100000001b3ull;

@@ -7,13 +7,13 @@
 #include <algorithm>
 #include <bit>
 #include <cerrno>
-#include <condition_variable>
+#include <chrono>
 #include <cstring>
 #include <map>
 #include <mutex>
-#include <thread>
 
 #include "vsim/base/logging.hh"
+#include "vsim/base/thread_pool.hh"
 
 namespace vsim::trace
 {
@@ -21,122 +21,148 @@ namespace vsim::trace
 namespace
 {
 
-/** Records buffered per write/read burst (192 KiB of 48-byte records). */
-constexpr std::size_t kBurstRecords = 4096;
-
 /** Chunk size for whole-file hashing (a multiple of the 32-byte stripe). */
 constexpr std::size_t kChunkBytes = 256 * 1024;
 
-/** Bursts the digest ring holds (1.5 MiB of records). */
-constexpr std::size_t kRingSlots = 8;
+// XXH64 (seed 0): four 64-bit multiply-rotate lanes over 32-byte
+// stripes, then the byte tail, the length and a final avalanche.
+constexpr std::uint64_t kXxPrime1 = 0x9e3779b185ebca87ull;
+constexpr std::uint64_t kXxPrime2 = 0xc2b2ae3d27d4eb4full;
+constexpr std::uint64_t kXxPrime3 = 0x165667b19e3779f9ull;
+constexpr std::uint64_t kXxPrime4 = 0x85ebca77c2b2ae63ull;
+constexpr std::uint64_t kXxPrime5 = 0x27d4eb2f165667c5ull;
 
-} // namespace
+std::uint64_t
+load64(const unsigned char *p)
+{
+    std::uint64_t v;
+    std::memcpy(&v, p, sizeof v);
+    return v;
+}
 
-// --------------------------------------------------------------------
-// BurstDigest
+std::uint64_t
+xxRound(std::uint64_t acc, std::uint64_t lane)
+{
+    acc += lane * kXxPrime2;
+    return std::rotl(acc, 31) * kXxPrime1;
+}
 
-/**
- * The payload's FNV-1a, folded over record bursts on one helper
- * thread. FNV-1a is a serial multiply chain, so folding it beside the
- * producer takes it off the critical path. The producer fills ring
- * slots in turn: acquire() returns the next slot once the helper has
- * digested what it held last, and publish() hands the filled slot to
- * the helper. A published slot may still be read by the producer (the
- * reader checks and decodes a burst while it is digested) but not
- * written. finish() folds every published burst and joins the helper;
- * the destructor joins it on every other path.
- */
-class BurstDigest
+/** Streaming XXH64 over a byte sequence fed in 32-byte stripes. */
+class ContentHash
 {
   public:
-    explicit BurstDigest(std::uint64_t seed)
-        : slots(kRingSlots * kBurstRecords), digest(seed),
-          helper([this] { fold(); })
-    {}
-
-    ~BurstDigest() { stop(); }
-
-    BurstDigest(const BurstDigest &) = delete;
-    BurstDigest &operator=(const BurstDigest &) = delete;
-
-    /** The next slot to fill, once its previous burst is digested. */
-    TraceRecord *
-    acquire()
-    {
-        std::unique_lock<std::mutex> lock(mtx);
-        folded.wait(lock,
-                    [this] { return published - digested < kRingSlots; });
-        return &slots[published % kRingSlots * kBurstRecords];
-    }
-
-    /** Hand the slot from acquire(), holding @p records, to the helper. */
-    void
-    publish(std::size_t records)
-    {
-        {
-            std::lock_guard<std::mutex> lock(mtx);
-            sizes[published % kRingSlots] = records;
-            ++published;
-        }
-        work.notify_one();
-    }
-
-    /** The digest of the seed and every published burst, in order. */
+    /** Fold the whole stripes of @p p; returns the bytes left over. */
     std::uint64_t
-    finish()
+    stripes(const unsigned char *p, std::uint64_t len)
     {
-        stop();
-        return digest;
+        // Locals, not the members: byte loads may alias the lanes, which
+        // would force a store and reload of all four every stripe.
+        std::uint64_t v0 = lane[0], v1 = lane[1], v2 = lane[2],
+                      v3 = lane[3];
+        const std::uint64_t whole = len - len % 32;
+        for (std::uint64_t i = 0; i < whole; i += 32) {
+            v0 = xxRound(v0, load64(p + i));
+            v1 = xxRound(v1, load64(p + i + 8));
+            v2 = xxRound(v2, load64(p + i + 16));
+            v3 = xxRound(v3, load64(p + i + 24));
+        }
+        lane[0] = v0;
+        lane[1] = v1;
+        lane[2] = v2;
+        lane[3] = v3;
+        total += whole;
+        return len - whole;
+    }
+
+    /** Mix in the final < 32 bytes and the length. */
+    std::uint64_t
+    finish(const unsigned char *p, std::uint64_t len)
+    {
+        std::uint64_t h;
+        if (total >= 32) {
+            h = std::rotl(lane[0], 1) + std::rotl(lane[1], 7)
+                + std::rotl(lane[2], 12) + std::rotl(lane[3], 18);
+            for (std::uint64_t v : lane)
+                h = (h ^ xxRound(0, v)) * kXxPrime1 + kXxPrime4;
+        } else {
+            h = kXxPrime5;
+        }
+        h += total + len;
+        for (; len >= 8; p += 8, len -= 8)
+            h = std::rotl(h ^ xxRound(0, load64(p)), 27) * kXxPrime1
+                + kXxPrime4;
+        if (len >= 4) {
+            std::uint32_t w;
+            std::memcpy(&w, p, sizeof w);
+            h = std::rotl(h ^ (w * kXxPrime1), 23) * kXxPrime2 + kXxPrime3;
+            p += 4;
+            len -= 4;
+        }
+        for (; len > 0; ++p, --len)
+            h = std::rotl(h ^ (*p * kXxPrime5), 11) * kXxPrime1;
+        h ^= h >> 33;
+        h *= kXxPrime2;
+        h ^= h >> 29;
+        h *= kXxPrime3;
+        return h ^ (h >> 32);
     }
 
   private:
-    void
-    stop()
-    {
-        if (!helper.joinable())
-            return;
-        {
-            std::lock_guard<std::mutex> lock(mtx);
-            closing = true;
-        }
-        work.notify_one();
-        helper.join();
-    }
-
-    /** Helper thread: fold published bursts until closed and drained. */
-    void
-    fold()
-    {
-        std::uint64_t h = digest;
-        std::unique_lock<std::mutex> lock(mtx);
-        for (;;) {
-            work.wait(lock,
-                      [this] { return closing || digested < published; });
-            if (digested == published)
-                break;
-            const std::size_t slot = digested % kRingSlots;
-            const std::size_t records = sizes[slot];
-            lock.unlock();
-            h = fnv1a(&slots[slot * kBurstRecords],
-                      records * sizeof(TraceRecord), h);
-            lock.lock();
-            ++digested;
-            folded.notify_one();
-        }
-        digest = h; // read by finish() after the join
-    }
-
-    std::vector<TraceRecord> slots;
-    std::size_t sizes[kRingSlots] = {}; //!< records per published slot
-    std::uint64_t published = 0;        //!< bursts handed over
-    std::uint64_t digested = 0;         //!< bursts folded
-    bool closing = false;
-    std::uint64_t digest;
-    std::mutex mtx;
-    std::condition_variable work;   //!< a burst was published, or closing
-    std::condition_variable folded; //!< a burst was digested
-    std::thread helper; //!< last member: starts after the rest exist
+    std::uint64_t lane[4] = {kXxPrime1 + kXxPrime2, kXxPrime2, 0,
+                             0 - kXxPrime1};
+    std::uint64_t total = 0;
 };
+
+/** XXH64 (seed 0) of @p len bytes: the digest of one payload piece. */
+std::uint64_t
+xxh64(const void *bytes, std::uint64_t len)
+{
+    const unsigned char *p = static_cast<const unsigned char *>(bytes);
+    ContentHash hasher;
+    const std::uint64_t rest = hasher.stripes(p, len);
+    return hasher.finish(p + (len - rest), rest);
+}
+
+/** The footer digest: the XXH64 of the piece digests, in file order. */
+std::uint64_t
+foldPieces(const std::vector<std::uint64_t> &pieces)
+{
+    return xxh64(pieces.data(), pieces.size() * sizeof(std::uint64_t));
+}
+
+} // namespace
+
+std::uint64_t
+payloadDigest(const TraceHeader &hdr, const void *payload)
+{
+    const unsigned char *p = static_cast<const unsigned char *>(payload);
+    std::vector<std::uint64_t> pieces;
+    auto piece = [&](std::uint64_t len) {
+        pieces.push_back(xxh64(p, len));
+        p += len;
+    };
+    piece(4ull * hdr.textWords);
+    piece(hdr.dataBytes);
+    for (std::uint64_t done = 0; done < hdr.recordCount;
+         done += kBurstRecords)
+        piece(std::min(kBurstRecords, hdr.recordCount - done)
+              * sizeof(TraceRecord));
+    piece(hdr.outputBytes);
+    return foldPieces(pieces);
+}
+
+std::vector<std::uint64_t>
+loadRangeStarts(std::uint64_t records, int workers)
+{
+    const std::uint64_t bursts =
+        (records + kBurstRecords - 1) / kBurstRecords;
+    const std::uint64_t n = std::min<std::uint64_t>(
+        bursts, static_cast<std::uint64_t>(std::max(workers, 1)));
+    std::vector<std::uint64_t> starts(n);
+    for (std::uint64_t r = 0; r < n; ++r)
+        starts[r] = bursts * r / n * kBurstRecords;
+    return starts;
+}
 
 TraceRecord
 makeRecord(const arch::TraceEntry &entry)
@@ -177,7 +203,8 @@ makeEntry(const TraceRecord &rec)
 
 TraceWriter::TraceWriter(const std::string &path_,
                          const assembler::Program &prog)
-    : path(path_), out(path_, std::ios::binary | std::ios::trunc)
+    : path(path_), out(path_, std::ios::binary | std::ios::trunc),
+      burst(kBurstRecords)
 {
     if (!out)
         VSIM_FATAL("cannot open trace file for writing: ", path);
@@ -192,25 +219,14 @@ TraceWriter::TraceWriter(const std::string &path_,
     hdr.dataBytes = static_cast<std::uint32_t>(prog.data.size());
 
     // Header first (recordCount = kUnfinalized until finalize()),
-    // then the static image; the payload digest starts at the image.
+    // then the static image, the payload's first two pieces.
     put(&hdr, sizeof(hdr));
-    std::uint64_t seed = kFnvOffset;
-    if (!prog.text.empty()) {
-        const std::uint64_t bytes = 4ull * prog.text.size();
-        put(prog.text.data(), bytes);
-        seed = fnv1a(prog.text.data(), bytes, seed);
-    }
-    if (!prog.data.empty()) {
+    const std::uint64_t text_bytes = 4ull * prog.text.size();
+    put(prog.text.data(), text_bytes);
+    pieces.push_back(xxh64(prog.text.data(), text_bytes));
+    if (!prog.data.empty())
         put(prog.data.data(), prog.data.size());
-        seed = fnv1a(prog.data.data(), prog.data.size(), seed);
-    }
-    ring = std::make_unique<BurstDigest>(seed);
-}
-
-TraceWriter::~TraceWriter()
-{
-    // Without finalize() the header still says kUnfinalized records,
-    // so a half-written file is rejected on load rather than replayed.
+    pieces.push_back(xxh64(prog.data.data(), prog.data.size()));
 }
 
 void
@@ -227,8 +243,9 @@ TraceWriter::flushBuffer()
 {
     if (filled == 0)
         return;
-    ring->publish(filled);
-    put(slot, filled * sizeof(TraceRecord));
+    const std::uint64_t bytes = filled * sizeof(TraceRecord);
+    pieces.push_back(xxh64(burst.data(), bytes));
+    put(burst.data(), bytes);
     filled = 0;
 }
 
@@ -236,9 +253,7 @@ void
 TraceWriter::append(const TraceRecord &rec)
 {
     VSIM_ASSERT(!finalized, "append after finalize");
-    if (filled == 0)
-        slot = ring->acquire();
-    slot[filled++] = rec;
+    burst[filled++] = rec;
     ++count;
     if (filled == kBurstRecords)
         flushBuffer();
@@ -249,13 +264,12 @@ TraceWriter::finalize(const std::string &output, std::uint64_t exit_code)
 {
     VSIM_ASSERT(!finalized, "trace finalized twice");
     flushBuffer();
+    if (!output.empty())
+        put(output.data(), output.size());
+    pieces.push_back(xxh64(output.data(), output.size()));
 
     TraceFooter footer;
-    footer.digest = ring->finish();
-    if (!output.empty()) {
-        put(output.data(), output.size());
-        footer.digest = fnv1a(output.data(), output.size(), footer.digest);
-    }
+    footer.digest = foldPieces(pieces);
     put(&footer, sizeof(footer));
 
     hdr.outputBytes = static_cast<std::uint32_t>(output.size());
@@ -350,12 +364,28 @@ class InputFile
         return done;
     }
 
-    /** Read exactly @p len bytes or reject the file as truncated. */
+    /**
+     * Read exactly @p len bytes at @p offset or reject the file as
+     * truncated. Leaves the read position alone, so workers may call
+     * it at once.
+     */
     void
-    read(void *bytes, std::uint64_t len)
+    readAt(void *bytes, std::uint64_t len, std::uint64_t offset) const
     {
-        if (readSome(bytes, len) != len)
-            VSIM_FATAL("truncated trace file: ", path);
+        char *p = static_cast<char *>(bytes);
+        std::uint64_t done = 0;
+        while (done < len) {
+            const ssize_t n = ::pread(fd, p + done, len - done,
+                                      static_cast<off_t>(offset + done));
+            if (n == 0)
+                VSIM_FATAL("truncated trace file: ", path);
+            if (n < 0) {
+                if (errno == EINTR)
+                    continue;
+                VSIM_FATAL("read failed on trace file: ", path);
+            }
+            done += static_cast<std::uint64_t>(n);
+        }
     }
 
   private:
@@ -415,26 +445,93 @@ validateRecord(const TraceRecord &rec, const TraceHeader &hdr)
     return nullptr;
 }
 
+/** What one load worker found in its range of records. */
+struct RangeScan
+{
+    const char *defect = nullptr; //!< the range's first record defect
+    std::uint64_t defectIndex = 0;
+    std::uint64_t firstPc = 0;    //!< pc of the range's first record
+    std::uint64_t lastTarget = 0; //!< target of its last one (no defect)
+};
+
+/**
+ * One load worker: read records [first, stop) -- whole bursts, at byte
+ * @p records_at of the file -- a burst at a time, store each burst's
+ * digest at its index in @p burst_digests, and check and decode the
+ * records into @p entries. Each record must be a decodable
+ * instruction, the correct path must chain (record i's target is
+ * record i+1's pc, across burst seams too; the caller checks the seam
+ * before @p first), and only the trace's last record may be (and must
+ * be) a HALT. After the first defect the rest of the range is only
+ * digested.
+ */
+void
+scanRange(const InputFile &in, const TraceHeader &hdr,
+          std::uint64_t records_at, std::uint64_t first,
+          std::uint64_t stop, arch::TraceEntry *entries,
+          std::uint64_t *burst_digests, RangeScan &scan)
+{
+    std::vector<TraceRecord> burst(std::min(kBurstRecords, stop - first));
+    std::uint64_t prev_target = 0;
+    for (std::uint64_t done = first; done < stop; done += kBurstRecords) {
+        const std::uint64_t n = std::min(kBurstRecords, stop - done);
+        const std::uint64_t bytes = n * sizeof(TraceRecord);
+        in.readAt(burst.data(), bytes,
+                  records_at + done * sizeof(TraceRecord));
+        burst_digests[done / kBurstRecords] = xxh64(burst.data(), bytes);
+        if (done == first)
+            scan.firstPc = burst[0].pc;
+        for (std::uint64_t j = 0; j < n && !scan.defect; ++j) {
+            const TraceRecord &rec = burst[j];
+            const std::uint64_t i = done + j;
+            if (i > first && rec.pc != prev_target) {
+                scan.defect =
+                    "correct path does not chain to the next record";
+                scan.defectIndex = i - 1;
+                break;
+            }
+            scan.defect = validateRecord(rec, hdr);
+            const bool last = i + 1 == hdr.recordCount;
+            const bool halt =
+                rec.op == static_cast<std::uint8_t>(isa::Op::HALT);
+            if (!scan.defect && halt != last) {
+                scan.defect = last ? "trace does not end in HALT"
+                                   : "HALT before the end of the trace";
+            }
+            if (scan.defect) {
+                scan.defectIndex = i;
+                break;
+            }
+            prev_target = rec.target;
+            entries[i] = makeEntry(rec);
+        }
+    }
+    scan.lastTarget = prev_target;
+}
+
 } // namespace
 
-TraceReader::TraceReader(const std::string &path)
+TraceReader::TraceReader(const std::string &path, int workers)
 {
+    const auto t0 = std::chrono::steady_clock::now();
     InputFile in(path);
     const std::uint64_t file_size = in.id().size;
 
     if (file_size < sizeof(TraceHeader) + sizeof(TraceFooter))
         VSIM_FATAL("trace file too small to be valid: ", path);
-    in.read(&hdr, sizeof(hdr));
+    in.readAt(&hdr, sizeof(hdr), 0);
 
     if (hdr.magic != kTraceMagic)
         VSIM_FATAL("not a VSIM trace (bad magic): ", path);
     if (hdr.version != kTraceVersion) {
         VSIM_FATAL("unsupported trace version ", hdr.version,
-                   " (expected ", kTraceVersion, "): ", path);
+                   " (expected ", kTraceVersion,
+                   "; re-record it with vspec_tracegen): ", path);
     }
     if (hdr.headerBytes != sizeof(TraceHeader)
         || hdr.recordBytes != sizeof(TraceRecord))
-        VSIM_FATAL("trace structure sizes do not match v1: ", path);
+        VSIM_FATAL("trace structure sizes do not match v", kTraceVersion,
+                   ": ", path);
     if (hdr.recordCount == kUnfinalized) {
         VSIM_FATAL("unfinalized trace (writer did not finish): ",
                    path);
@@ -450,21 +547,26 @@ TraceReader::TraceReader(const std::string &path)
 
     // Exact length check: catches truncation and trailing garbage
     // before we commit to reading the sections. It also bounds
-    // recordCount by the file size, so the reserve below is safe.
+    // recordCount by the file size, so sizing the entries is safe.
     const std::uint64_t payload = file_size - sizeof(TraceHeader)
                                   - sizeof(TraceFooter);
     if (hdr.recordCount > payload / sizeof(TraceRecord))
         VSIM_FATAL("truncated trace file: ", path);
+    const std::uint64_t records_at =
+        sizeof(TraceHeader) + 4ull * hdr.textWords + hdr.dataBytes;
+    const std::uint64_t output_at =
+        records_at + hdr.recordCount * sizeof(TraceRecord);
     const std::uint64_t expected =
-        sizeof(TraceHeader) + 4ull * hdr.textWords + hdr.dataBytes
-        + hdr.recordCount * sizeof(TraceRecord) + hdr.outputBytes
-        + sizeof(TraceFooter);
+        output_at + hdr.outputBytes + sizeof(TraceFooter);
     if (file_size != expected) {
         VSIM_FATAL("trace file length ", file_size, " != expected ",
                    expected, " (truncated or corrupt): ", path);
     }
 
-    std::uint64_t seed = kFnvOffset;
+    // Piece digests in file order: text, data, each burst, output.
+    const std::uint64_t bursts =
+        (hdr.recordCount + kBurstRecords - 1) / kBurstRecords;
+    std::vector<std::uint64_t> pieces(bursts + 3);
 
     assembler::Program &prog = loaded.program;
     prog.textBase = hdr.textBase;
@@ -472,94 +574,75 @@ TraceReader::TraceReader(const std::string &path)
     prog.stackTop = hdr.stackTop;
     prog.entry = hdr.entry;
     prog.text.resize(hdr.textWords);
-    in.read(prog.text.data(), 4ull * hdr.textWords);
-    seed = fnv1a(prog.text.data(), 4ull * hdr.textWords, seed);
-    if (hdr.dataBytes) {
-        prog.data.resize(hdr.dataBytes);
-        in.read(prog.data.data(), hdr.dataBytes);
-        seed = fnv1a(prog.data.data(), hdr.dataBytes, seed);
-    }
+    in.readAt(prog.text.data(), 4ull * hdr.textWords, sizeof(TraceHeader));
+    pieces[0] = xxh64(prog.text.data(), 4ull * hdr.textWords);
+    prog.data.resize(hdr.dataBytes);
+    in.readAt(prog.data.data(), hdr.dataBytes,
+              sizeof(TraceHeader) + 4ull * hdr.textWords);
+    pieces[1] = xxh64(prog.data.data(), hdr.dataBytes);
 
-    // The records, one burst at a time: each burst is read once into a
-    // ring slot, handed to the digest helper, then checked and decoded
-    // here while the helper folds it. Each record must be a decodable
-    // instruction, the correct path must chain (record i's target is
-    // record i+1's pc, across burst seams too), and only the last
-    // record may be (and must be) a HALT. The first defect is held
-    // back until the digest has been checked, so the records after it
-    // are only digested.
+    // The records, one contiguous range of bursts per worker, each
+    // decoded into entries that only its worker touches. Record
+    // defects are held back until the digest has been checked.
     arch::ExecTrace &trace = loaded.trace;
-    trace.entries.reserve(hdr.recordCount);
-    BurstDigest ring(seed);
-    const char *defect = nullptr;
-    std::uint64_t defect_index = 0;
-    std::uint64_t prev_target = 0;
-    for (std::uint64_t done = 0; done < hdr.recordCount;) {
-        const std::uint64_t burst =
-            std::min<std::uint64_t>(kBurstRecords, hdr.recordCount - done);
-        TraceRecord *slot = ring.acquire();
-        in.read(slot, burst * sizeof(TraceRecord));
-        ring.publish(burst);
-        for (std::uint64_t j = 0; j < burst && !defect; ++j) {
-            const TraceRecord &rec = slot[j];
-            const std::uint64_t i = done + j;
-            if (i > 0 && rec.pc != prev_target) {
-                defect = "correct path does not chain to the next record";
-                defect_index = i - 1;
-                continue;
-            }
-            defect = validateRecord(rec, hdr);
-            const bool last = i + 1 == hdr.recordCount;
-            const bool halt =
-                rec.op == static_cast<std::uint8_t>(isa::Op::HALT);
-            if (!defect && halt != last) {
-                defect = last ? "trace does not end in HALT"
-                              : "HALT before the end of the trace";
-            }
-            if (defect) {
-                defect_index = i;
-                continue;
-            }
-            prev_target = rec.target;
-            trace.entries.push_back(makeEntry(rec));
-        }
-        done += burst;
-    }
+    trace.entries.resize(hdr.recordCount);
+    const std::vector<std::uint64_t> starts =
+        loadRangeStarts(hdr.recordCount, workers);
+    const std::size_t ranges = starts.size();
+    std::vector<RangeScan> scans(ranges);
+    runConcurrently(static_cast<int>(ranges), [&](int r) {
+        const std::size_t k = static_cast<std::size_t>(r);
+        scanRange(in, hdr, records_at, starts[k],
+                  k + 1 < ranges ? starts[k + 1] : hdr.recordCount,
+                  trace.entries.data(), &pieces[2], scans[k]);
+    });
 
-    std::uint64_t digest = ring.finish();
-    if (hdr.outputBytes) {
-        trace.output.resize(hdr.outputBytes);
-        in.read(trace.output.data(), hdr.outputBytes);
-        digest = fnv1a(trace.output.data(), hdr.outputBytes, digest);
-    }
+    trace.output.resize(hdr.outputBytes);
+    in.readAt(trace.output.data(), hdr.outputBytes, output_at);
+    pieces.back() = xxh64(trace.output.data(), hdr.outputBytes);
     trace.exitCode = hdr.exitCode;
 
     TraceFooter footer;
-    in.read(&footer, sizeof(footer));
+    in.readAt(&footer, sizeof(footer), output_at + hdr.outputBytes);
     if (footer.endMagic != kTraceEndMagic)
         VSIM_FATAL("trace footer marker missing: ", path);
-    if (footer.digest != digest) {
+    if (footer.digest != foldPieces(pieces)) {
         VSIM_FATAL("trace payload digest mismatch (corrupt file): ",
                    path);
     }
-    if (defect) {
-        VSIM_FATAL("corrupt trace record #", defect_index, " in ", path,
-                   ": ", defect);
+    // The earliest record defect, in the order one pass meets them: a
+    // range's seam with the range before it precedes its own records.
+    auto corrupt = [&](std::uint64_t index, const char *defect) {
+        VSIM_FATAL("corrupt trace record #", index, " in ", path, ": ",
+                   defect);
+    };
+    for (std::size_t r = 0; r < ranges; ++r) {
+        if (r > 0 && scans[r].firstPc != scans[r - 1].lastTarget)
+            corrupt(starts[r] - 1,
+                    "correct path does not chain to the next record");
+        if (scans[r].defect)
+            corrupt(scans[r].defectIndex, scans[r].defect);
     }
     if (trace.entries.front().pc != hdr.entry)
         VSIM_FATAL("first trace record is not at the entry point: ",
                    path);
     if (trace.entries.back().nextPc != trace.entries.back().pc)
         VSIM_FATAL("HALT record target is not its own pc: ", path);
+
+    VSIM_INFORM("trace: ", hdr.recordCount, " records loaded in ",
+                std::chrono::duration<double>(
+                    std::chrono::steady_clock::now() - t0)
+                    .count(),
+                " s on ", ranges, ranges == 1 ? " worker" : " workers");
 }
 
 // --------------------------------------------------------------------
 // Convenience entry points
 
 LoadedTrace
-loadTrace(const std::string &path)
+loadTrace(const std::string &path, int workers)
 {
-    return TraceReader(path).release();
+    return TraceReader(path, workers).release();
 }
 
 std::uint64_t
@@ -580,100 +663,6 @@ recordTrace(const assembler::Program &prog, const std::string &path,
     writer.finalize(core.state().output, core.state().exitCode);
     return writer.recordCount();
 }
-
-namespace
-{
-
-// XXH64 (seed 0): four 64-bit multiply-rotate lanes over 32-byte
-// stripes, then the byte tail, the length and a final avalanche.
-constexpr std::uint64_t kXxPrime1 = 0x9e3779b185ebca87ull;
-constexpr std::uint64_t kXxPrime2 = 0xc2b2ae3d27d4eb4full;
-constexpr std::uint64_t kXxPrime3 = 0x165667b19e3779f9ull;
-constexpr std::uint64_t kXxPrime4 = 0x85ebca77c2b2ae63ull;
-constexpr std::uint64_t kXxPrime5 = 0x27d4eb2f165667c5ull;
-
-std::uint64_t
-load64(const unsigned char *p)
-{
-    std::uint64_t v;
-    std::memcpy(&v, p, sizeof v);
-    return v;
-}
-
-std::uint64_t
-xxRound(std::uint64_t acc, std::uint64_t lane)
-{
-    acc += lane * kXxPrime2;
-    return std::rotl(acc, 31) * kXxPrime1;
-}
-
-/** Streaming XXH64 over a byte sequence fed in 32-byte stripes. */
-class ContentHash
-{
-  public:
-    /** Fold the whole stripes of @p p; returns the bytes left over. */
-    std::uint64_t
-    stripes(const unsigned char *p, std::uint64_t len)
-    {
-        // Locals, not the members: byte loads may alias the lanes, which
-        // would force a store and reload of all four every stripe.
-        std::uint64_t v0 = lane[0], v1 = lane[1], v2 = lane[2],
-                      v3 = lane[3];
-        const std::uint64_t whole = len - len % 32;
-        for (std::uint64_t i = 0; i < whole; i += 32) {
-            v0 = xxRound(v0, load64(p + i));
-            v1 = xxRound(v1, load64(p + i + 8));
-            v2 = xxRound(v2, load64(p + i + 16));
-            v3 = xxRound(v3, load64(p + i + 24));
-        }
-        lane[0] = v0;
-        lane[1] = v1;
-        lane[2] = v2;
-        lane[3] = v3;
-        total += whole;
-        return len - whole;
-    }
-
-    /** Mix in the final < 32 bytes and the length. */
-    std::uint64_t
-    finish(const unsigned char *p, std::uint64_t len)
-    {
-        std::uint64_t h;
-        if (total >= 32) {
-            h = std::rotl(lane[0], 1) + std::rotl(lane[1], 7)
-                + std::rotl(lane[2], 12) + std::rotl(lane[3], 18);
-            for (std::uint64_t v : lane)
-                h = (h ^ xxRound(0, v)) * kXxPrime1 + kXxPrime4;
-        } else {
-            h = kXxPrime5;
-        }
-        h += total + len;
-        for (; len >= 8; p += 8, len -= 8)
-            h = std::rotl(h ^ xxRound(0, load64(p)), 27) * kXxPrime1
-                + kXxPrime4;
-        if (len >= 4) {
-            std::uint32_t w;
-            std::memcpy(&w, p, sizeof w);
-            h = std::rotl(h ^ (w * kXxPrime1), 23) * kXxPrime2 + kXxPrime3;
-            p += 4;
-            len -= 4;
-        }
-        for (; len > 0; ++p, --len)
-            h = std::rotl(h ^ (*p * kXxPrime5), 11) * kXxPrime1;
-        h ^= h >> 33;
-        h *= kXxPrime2;
-        h ^= h >> 29;
-        h *= kXxPrime3;
-        return h ^ (h >> 32);
-    }
-
-  private:
-    std::uint64_t lane[4] = {kXxPrime1 + kXxPrime2, kXxPrime2, 0,
-                             0 - kXxPrime1};
-    std::uint64_t total = 0;
-};
-
-} // namespace
 
 std::uint64_t
 traceFileHash(const std::string &path)

@@ -2,15 +2,14 @@
  * @file
  * Reading and writing ".vst" dynamic instruction traces (see
  * trace_format.hh for the on-disk layout). The writer streams records
- * with buffered I/O and patches the header on finalize(); the reader
- * validates the whole file strictly in one streaming pass — magic,
- * version, structure sizes, exact file length (truncation / trailing
- * garbage), record sanity and the footer digest — before handing
- * anything to the timing core. Both fold the byte-serial FNV-1a footer
- * digest on one helper thread, over the same record bursts they write
- * or decode, so the digest runs beside the recording or the decode
- * instead of after it. Every I/O or validation failure raises
- * vsim::FatalError so tools exit nonzero instead of replaying junk.
+ * with buffered I/O, folds each burst's piece digest inline and
+ * patches the header on finalize(); the reader validates the whole
+ * file strictly -- magic, version, structure sizes, exact file length
+ * (truncation / trailing garbage), record sanity and the footer
+ * digest -- before handing anything to the timing core, splitting the
+ * records over as many workers as it is given. Every I/O or
+ * validation failure raises vsim::FatalError so tools exit nonzero
+ * instead of replaying junk.
  */
 
 #ifndef VSIM_TRACE_TRACE_IO_HH
@@ -18,7 +17,6 @@
 
 #include <cstdint>
 #include <fstream>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -36,24 +34,35 @@ TraceRecord makeRecord(const arch::TraceEntry &entry);
 /** Convert one validated file record back to a functional entry. */
 arch::TraceEntry makeEntry(const TraceRecord &rec);
 
-/** Ring of record bursts whose FNV-1a a helper thread folds. */
-class BurstDigest;
+/**
+ * The footer digest of the payload that follows header @p hdr: the
+ * text and data images, hdr.recordCount records and hdr.outputBytes of
+ * output, contiguous from @p payload (see trace_format.hh).
+ */
+std::uint64_t payloadDigest(const TraceHeader &hdr, const void *payload);
+
+/**
+ * How a load on @p workers splits @p records: the index of the first
+ * record of each contiguous range, one range per worker. Ranges are
+ * whole bursts of kBurstRecords, as even as they go, so there are
+ * fewer ranges than workers when there are fewer bursts.
+ */
+std::vector<std::uint64_t> loadRangeStarts(std::uint64_t records,
+                                           int workers);
 
 /**
  * Streaming trace generator. Construct with the program's static
  * image, append() each dynamic record as the functional core retires
  * it, then finalize() with the program's output and exit code. Records
- * collect in 4096-record bursts; each full burst is written and handed
- * to the digest helper, and the caller fills the next ring slot
- * meanwhile. A writer that is destroyed without finalize() joins the
- * helper and leaves recordCount as kUnfinalized on disk, which the
- * reader rejects.
+ * collect in bursts of kBurstRecords; each full burst is digested and
+ * written on the caller's thread, which starts no other. A writer that
+ * is destroyed without finalize() leaves recordCount as kUnfinalized
+ * on disk, which the reader rejects.
  */
 class TraceWriter
 {
   public:
     TraceWriter(const std::string &path, const assembler::Program &prog);
-    ~TraceWriter();
 
     TraceWriter(const TraceWriter &) = delete;
     TraceWriter &operator=(const TraceWriter &) = delete;
@@ -72,9 +81,9 @@ class TraceWriter
     std::string path;
     std::ofstream out;
     TraceHeader hdr;
-    std::unique_ptr<BurstDigest> ring; //!< payload FNV-1a helper
-    TraceRecord *slot = nullptr; //!< burst being filled (a ring slot)
-    std::size_t filled = 0;      //!< records in *slot
+    std::vector<TraceRecord> burst; //!< records not yet written
+    std::size_t filled = 0;         //!< records in burst
+    std::vector<std::uint64_t> pieces; //!< piece digests so far
     std::uint64_t count = 0;
     bool finalized = false;
 };
@@ -88,31 +97,34 @@ struct LoadedTrace
 
 /**
  * Validating trace loader. The constructor checks the header and the
- * exact file length, then makes one streaming pass over the payload:
- * each burst of up to 4096 records is read once into a slot of an
- * 8-burst ring and handed to a helper thread that folds it into the
- * FNV-1a footer digest, while the caller checks it record by record
- * (decodable instruction, pc inside the text image, pc->target
- * chaining carried across burst seams, HALT only at the end) and
- * decodes it straight into the trace's entries, which are reserved
- * once from the header's recordCount. A slot is refilled only after
- * the helper has digested it, so the digest covers exactly the bytes
- * that were decoded, and the file is never read twice. No copy of the
- * raw records is ever held, so peak memory is the decoded trace itself
- * (~40 B per instruction) plus the ring.
+ * exact file length, reads the static image, and sizes the trace's
+ * entries from the header's recordCount without writing them. The
+ * records are then split into contiguous ranges of whole bursts, one
+ * per worker (loadRangeStarts): each worker reads its bursts with
+ * pread, digests each one, checks it record by record (decodable
+ * instruction, pc inside the text image, pc->target chaining across
+ * burst seams, HALT only at the end) and decodes it into its own part
+ * of the entries, which it is the first to touch. The caller runs the
+ * first range itself, so one worker starts no thread. After the join
+ * the caller digests the output, folds the piece digests in file order
+ * and checks the chaining across range seams. The file is read once,
+ * and no copy of the raw records is held, so peak memory is the
+ * decoded trace itself (~40 B per instruction) plus one burst per
+ * worker.
  *
  * Nothing is returned before the footer digest and the whole-trace
  * checks (first record at the entry point, HALT target) pass. A digest
- * mismatch takes precedence over a record defect, so a corrupted file
- * is reported as corrupt rather than by the first bad field it
- * happens to produce. Non-regular paths (directories, FIFOs) are
- * rejected up front. Every defect raises vsim::FatalError, and the
- * helper thread is joined on every path.
+ * mismatch takes precedence over a record defect, and the record
+ * defect reported is the earliest one, whatever the worker count, so
+ * a corrupted file is reported as corrupt rather than by the first bad
+ * field it happens to produce. Non-regular paths (directories, FIFOs)
+ * are rejected up front. Every defect raises vsim::FatalError, and
+ * every worker is joined first.
  */
 class TraceReader
 {
   public:
-    explicit TraceReader(const std::string &path);
+    explicit TraceReader(const std::string &path, int workers = 1);
 
     const TraceHeader &header() const { return hdr; }
     std::uint64_t recordCount() const { return hdr.recordCount; }
@@ -125,8 +137,11 @@ class TraceReader
     LoadedTrace loaded;
 };
 
-/** Load and validate @p path (throws vsim::FatalError on any defect). */
-LoadedTrace loadTrace(const std::string &path);
+/**
+ * Load and validate @p path on @p workers (throws vsim::FatalError on
+ * any defect); the entries are the same for any worker count.
+ */
+LoadedTrace loadTrace(const std::string &path, int workers = 1);
 
 /**
  * Record a complete run of @p prog on the functional core to @p path.
@@ -141,8 +156,8 @@ std::uint64_t recordTrace(const assembler::Program &prog,
  * Content hash of every byte of the file at @p path: the RunCache /
  * jobKey identity of a trace workload. An XXH64 pass (four 64-bit
  * multiply-rotate lanes over 32-byte stripes, then the byte tail and
- * the length), several times faster than the byte-serial FNV-1a footer
- * digest, which stays the format's own checksum. Memoised per path and
+ * the length) over the whole file, footer included; the format's own
+ * footer digest is taken piece by piece instead. Memoised per path and
  * file identity (size, mtime in ns, device, inode; thread-safe), so a
  * file re-recorded in place is re-hashed instead of aliasing its old
  * key. Throws vsim::FatalError for a missing or non-regular path, or a

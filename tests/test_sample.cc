@@ -132,6 +132,27 @@ TEST(Bbv, ProfileIsDeterministic)
               arch::profileBbv(trace, 4000));
 }
 
+/**
+ * Workers profile contiguous ranges of intervals, each resuming the
+ * basic block in flight at its first instruction: the vectors are the
+ * serial ones at any worker count, for the sampled runs' K (five
+ * intervals of a ~2M-instruction trace) and for a K that is not a
+ * multiple of the 4096-record load burst.
+ */
+TEST(Bbv, ProfileIsIdenticalAcrossWorkerCounts)
+{
+    const arch::ExecTrace trace = kernelTrace("queens", 5);
+    for (const std::uint64_t K :
+         {std::uint64_t(500000), std::uint64_t(4099)}) {
+        SCOPED_TRACE("K " + std::to_string(K));
+        const auto serial = arch::profileBbv(trace, K);
+        ASSERT_GE(serial.size(), 5u);
+        for (const int workers : {2, 4})
+            EXPECT_EQ(arch::profileBbv(trace, K, workers), serial)
+                << workers << " workers";
+    }
+}
+
 // ---- clustering ---------------------------------------------------------
 
 TEST(Cluster, SameSeedSamePlan)

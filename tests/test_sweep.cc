@@ -931,7 +931,7 @@ TEST(NamedSweeps, EveryFigureRendersBuiltinsAndTraces)
                 results[i].stats.cycles = 1000 + i;
                 results[i].stats.retired = 4000;
             }
-            const std::string table = s.render(opt, results);
+            const std::string table = s.render(opt, jobs, results);
             if (s.name == "base")
                 EXPECT_EQ(table, "");
             else

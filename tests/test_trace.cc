@@ -12,8 +12,10 @@
  *  2. Strict-reader rejection: truncated, corrupted, unfinalized or
  *     garbage-extended trace files must raise vsim::FatalError through
  *     loadTrace, never replay junk — including defects at the
- *     streaming loader's burst seams — and the RunCache content hash
- *     must cover every byte and follow in-place rewrites.
+ *     loader's burst and worker-range seams — with the same message
+ *     at every worker count, and the RunCache content hash must cover
+ *     every byte and follow in-place rewrites. A load on any number of
+ *     workers returns exactly the functional core's entries.
  *
  *  3. Report-writer regressions riding in the same PR: RFC-4180 CSV
  *     quoting, JSON string escaping, and writeFile failure paths.
@@ -31,6 +33,7 @@
 
 #include "vsim/arch/functional_core.hh"
 #include "vsim/base/logging.hh"
+#include "vsim/base/thread_pool.hh"
 #include "vsim/core/ooo_core.hh"
 #include "vsim/sim/report.hh"
 #include "vsim/sim/simulator.hh"
@@ -82,7 +85,9 @@ digest(const core::SimOutcome &out)
  * Record kernel @p name at scale 1, then require replay == direct at
  * the given window under both sweep kinds. The direct run uses the
  * default (sparse) kind; comparing the dense replay against it also
- * pins the sparse/dense identity on the replay path.
+ * pins the sparse/dense identity on the replay path. At the first
+ * window the recording must also load, on every worker count, into
+ * exactly the entries the functional core pre-executes.
  */
 void
 roundTrip(const std::string &name, int window, int fetch_width)
@@ -97,6 +102,16 @@ roundTrip(const std::string &name, int window, int fetch_width)
 
     const trace::LoadedTrace loaded = trace::loadTrace(path);
     ASSERT_EQ(loaded.trace.entries.size(), written);
+    if (window == 256) {
+        const arch::ExecTrace want = arch::preExecute(prog);
+        for (const int workers : {1, 2, 3, 4, 7}) {
+            SCOPED_TRACE("workers=" + std::to_string(workers));
+            const trace::LoadedTrace got = trace::loadTrace(path, workers);
+            EXPECT_TRUE(got.trace.entries == want.entries);
+            EXPECT_EQ(got.trace.output, want.output);
+            EXPECT_EQ(got.trace.exitCode, want.exitCode);
+        }
+    }
 
     core::CoreConfig cfg =
         sim::vpConfig({8, window}, core::SpecModel::greatModel(),
@@ -308,25 +323,37 @@ class TraceReject : public ::testing::Test
 
     /**
      * Re-seal an edited file: recompute the footer digest over the
-     * payload so that only the structural defect under test remains.
+     * payload (as its header now describes it) so that only the
+     * structural defect under test remains.
      */
     static void
     resealDigest(std::vector<char> &bytes)
     {
+        trace::TraceHeader hdr;
+        std::memcpy(&hdr, bytes.data(), sizeof hdr);
         const std::uint64_t end =
             bytes.size() - sizeof(trace::TraceFooter);
-        const std::uint64_t digest = trace::fnv1a(
-            bytes.data() + sizeof(trace::TraceHeader),
-            end - sizeof(trace::TraceHeader));
+        const std::uint64_t digest = trace::payloadDigest(
+            hdr, bytes.data() + sizeof(trace::TraceHeader));
         std::memcpy(bytes.data() + end + 8, &digest, sizeof digest);
     }
 
-    /** loadTrace's FatalError message for @p path ("" if it loads). */
+    /** The first record of each range a load on @p workers reads. */
+    static std::vector<std::uint64_t>
+    rangeStarts(const std::vector<char> &bytes, int workers)
+    {
+        return trace::loadRangeStarts(recordCount(bytes), workers);
+    }
+
+    /**
+     * loadTrace's FatalError message for @p path on @p workers ("" if
+     * it loads).
+     */
     static std::string
-    rejection(const std::string &path)
+    rejection(const std::string &path, int workers = 1)
     {
         try {
-            trace::loadTrace(path);
+            trace::loadTrace(path, workers);
         } catch (const FatalError &err) {
             return err.what();
         }
@@ -335,7 +362,8 @@ class TraceReject : public ::testing::Test
 
     /**
      * @p bytes must be rejected through loadTrace, the simulator's
-     * entry point, with a message containing @p what.
+     * entry point, with a message containing @p what, and with the
+     * same message on one worker and on four.
      */
     static void
     expectRejected(const std::string &name, std::vector<char> bytes,
@@ -343,10 +371,27 @@ class TraceReject : public ::testing::Test
     {
         SCOPED_TRACE(name);
         const std::string path = writeVariant(name, std::move(bytes));
-        const std::string msg = rejection(path);
+        const std::string msg = rejection(path, 1);
         EXPECT_NE(msg.find(what), std::string::npos)
             << "expected \"" << what << "\" in \"" << msg << "\"";
+        EXPECT_EQ(rejection(path, 4), msg);
         std::remove(path.c_str());
+    }
+
+    /**
+     * Record @p index of @p bytes, with its target moved one
+     * instruction on (and a self-consistent taken flag), so the correct
+     * path no longer chains to the next record.
+     */
+    static void
+    breakChainAfter(std::vector<char> &bytes, std::uint64_t index)
+    {
+        trace::TraceRecord rec;
+        const std::uint64_t off = recordOffset(bytes, index);
+        std::memcpy(&rec, bytes.data() + off, sizeof rec);
+        rec.target += 4;
+        rec.taken = rec.target != rec.pc + 4 ? 1 : 0;
+        std::memcpy(bytes.data() + off, &rec, sizeof rec);
     }
 };
 
@@ -375,6 +420,28 @@ TEST_F(TraceReject, ValidFileLoads)
     EXPECT_EQ(got.back().inst.op, isa::Op::HALT);
     EXPECT_EQ(loaded.trace.output, want.output);
     EXPECT_EQ(loaded.trace.exitCode, want.exitCode);
+}
+
+/**
+ * A record count that is not a multiple of the burst, split over 3 and
+ * 7 workers: the short last burst ends the last range, and every range
+ * decodes into its own part of the entries.
+ */
+TEST_F(TraceReject, PartialLastBurstLoadsOnThreeAndSevenWorkers)
+{
+    const std::vector<char> bytes = readAll(validTrace());
+    ASSERT_NE(recordCount(bytes) % trace::kBurstRecords, 0u);
+    const arch::ExecTrace want = arch::preExecute(
+        workloads::buildProgram(workloads::byName("queens"), 1));
+    for (const int workers : {3, 7}) {
+        SCOPED_TRACE("workers=" + std::to_string(workers));
+        ASSERT_EQ(rangeStarts(bytes, workers).size(),
+                  static_cast<std::size_t>(workers));
+        const trace::LoadedTrace got =
+            trace::loadTrace(validTrace(), workers);
+        EXPECT_TRUE(got.trace.entries == want.entries);
+        EXPECT_EQ(got.trace.output, want.output);
+    }
 }
 
 TEST_F(TraceReject, MissingFile)
@@ -415,6 +482,19 @@ TEST_F(TraceReject, BadVersion)
     auto bytes = readAll(validTrace());
     bytes[4] = 99; // TraceHeader::version
     expectRejected("version", std::move(bytes), "unsupported trace version");
+}
+
+/**
+ * A version-1 file (one FNV-1a over the whole payload) is turned away
+ * at its header, by version, with the way out: record it again.
+ */
+TEST_F(TraceReject, VersionOneAsksToRerecord)
+{
+    auto bytes = readAll(validTrace());
+    bytes[4] = 1; // TraceHeader::version
+    expectRejected("version_1", std::move(bytes),
+                   "unsupported trace version 1 (expected 2; re-record it "
+                   "with vspec_tracegen)");
 }
 
 TEST_F(TraceReject, UnfinalizedRecordCount)
@@ -473,12 +553,7 @@ TEST_F(TraceReject, ChainBreakAtBurstSeam)
 {
     auto bytes = readAll(validTrace());
     ASSERT_GT(recordCount(bytes), 4097u);
-    trace::TraceRecord rec;
-    const std::uint64_t off = recordOffset(bytes, 4095);
-    std::memcpy(&rec, bytes.data() + off, sizeof rec);
-    rec.target += 4;
-    rec.taken = rec.target != rec.pc + 4 ? 1 : 0;
-    std::memcpy(bytes.data() + off, &rec, sizeof rec);
+    breakChainAfter(bytes, 4095);
     resealDigest(bytes);
     expectRejected("seam_chain", std::move(bytes),
                    "record #4095 in " + tmpPath("reject_seam_chain")
@@ -540,12 +615,12 @@ TEST_F(TraceReject, HaltlessTail)
 }
 
 /**
- * Defects past the loader's first lap of its digest ring. The ring
- * holds 8 bursts of 4096 records, so a record beyond 9 * 4096 sits in a
- * slot that has been refilled since the helper digested it. Each defect
+ * Defects deep in the file, past its first nine bursts, so in a later
+ * worker range than the first on four workers (the names recall the
+ * 8-burst digest ring an earlier reader refilled there). Each defect
  * is reported exactly as it is in an early burst, and the failed load
- * joins its digest helper: a thread left unjoined would end the whole
- * test process.
+ * joins its workers: a thread left unjoined would end the whole test
+ * process.
  */
 constexpr std::uint64_t kPastRingLap = 9 * 4096;
 
@@ -558,18 +633,13 @@ TEST_F(TraceReject, CorruptPayloadAfterRingWraps)
     expectRejected("payload_wrapped", std::move(bytes), "digest mismatch");
 }
 
-/** A chain break at a burst seam, with both sides in refilled slots. */
+/** A chain break at a burst seam deep in the file. */
 TEST_F(TraceReject, ChainBreakAfterRingWraps)
 {
     auto bytes = readAll(validTrace());
     const std::uint64_t index = kPastRingLap + 3 * 4096 - 1;
     ASSERT_GT(recordCount(bytes), index + 1);
-    trace::TraceRecord rec;
-    const std::uint64_t off = recordOffset(bytes, index);
-    std::memcpy(&rec, bytes.data() + off, sizeof rec);
-    rec.target += 4;
-    rec.taken = rec.target != rec.pc + 4 ? 1 : 0;
-    std::memcpy(bytes.data() + off, &rec, sizeof rec);
+    breakChainAfter(bytes, index);
     resealDigest(bytes);
     expectRejected("chain_wrapped", std::move(bytes),
                    "record #" + std::to_string(index) + " in "
@@ -592,11 +662,57 @@ TEST_F(TraceReject, DigestMismatchOutranksRecordDefectAfterRingWraps)
 }
 
 /**
+ * A chain break exactly on a worker-range seam: on four workers, the
+ * last record of the first range no longer chains to the first record
+ * of the second. Neither worker sees both sides, so the check across
+ * the seam must name the record a one-worker load names -- ahead of a
+ * bad record later in the second range.
+ */
+TEST_F(TraceReject, ChainBreakAtWorkerSeam)
+{
+    auto bytes = readAll(validTrace());
+    const std::vector<std::uint64_t> starts = rangeStarts(bytes, 4);
+    ASSERT_EQ(starts.size(), 4u);
+    const std::uint64_t index = starts[1] - 1;
+    breakChainAfter(bytes, index);
+    bytes[recordOffset(bytes, starts[1] + 5) + 36] = '\xff'; // op
+    resealDigest(bytes);
+    expectRejected("worker_seam_chain", std::move(bytes),
+                   "record #" + std::to_string(index) + " in "
+                       + tmpPath("reject_worker_seam_chain")
+                       + ": correct path does not chain");
+}
+
+/**
+ * A bad record on either side of a worker-range seam (the last record
+ * of one range on four workers, then the first of the next): unsealed
+ * it is a digest mismatch, sealed it is named by its index.
+ */
+TEST_F(TraceReject, BadRecordsAtWorkerSeam)
+{
+    const auto bytes = readAll(validTrace());
+    const std::vector<std::uint64_t> starts = rangeStarts(bytes, 4);
+    ASSERT_EQ(starts.size(), 4u);
+    for (const std::uint64_t index : {starts[2] - 1, starts[2]}) {
+        auto bad = bytes;
+        bad[recordOffset(bad, index) + 36] = '\xff'; // TraceRecord::op
+        const std::string name = "worker_seam_op_" + std::to_string(index);
+        expectRejected(name + "_unsealed", bad, "digest mismatch");
+        resealDigest(bad);
+        expectRejected(name, std::move(bad),
+                       "record #" + std::to_string(index) + " in "
+                           + tmpPath("reject_" + name)
+                           + ": opcode out of range");
+    }
+}
+
+/**
  * A trace whose record count is an exact multiple of the 4096-record
- * burst, so its last burst is full and ends a ring lap's slot exactly:
- * the valid file loads whole, and a flipped byte in its very last
- * record is still digested. The file is the queens trace cut to 10
- * bursts, ending in a HALT record placed where the cut path continues.
+ * burst, so its last burst is full and ends the last worker range
+ * exactly: the valid file loads whole, and a flipped byte in its very
+ * last record is still digested. The file is the queens trace cut to
+ * 10 bursts, ending in a HALT record placed where the cut path
+ * continues.
  */
 TEST_F(TraceReject, RecordCountMultipleOfBurst)
 {
@@ -629,10 +745,12 @@ TEST_F(TraceReject, RecordCountMultipleOfBurst)
     resealDigest(cut);
 
     const std::string path = writeVariant("burst_multiple", cut);
-    const trace::LoadedTrace loaded = trace::loadTrace(path);
-    ASSERT_EQ(loaded.trace.entries.size(), count);
-    EXPECT_EQ(loaded.trace.entries.back().inst.op, isa::Op::HALT);
-    EXPECT_EQ(loaded.trace.entries.back().pc, prev.target);
+    for (const int workers : {1, 4}) {
+        const trace::LoadedTrace loaded = trace::loadTrace(path, workers);
+        ASSERT_EQ(loaded.trace.entries.size(), count);
+        EXPECT_EQ(loaded.trace.entries.back().inst.op, isa::Op::HALT);
+        EXPECT_EQ(loaded.trace.entries.back().pc, prev.target);
+    }
     std::remove(path.c_str());
 
     cut[recordOffset(cut, count - 1) + 8] ^= 0x01; // TraceRecord::value
@@ -641,17 +759,35 @@ TEST_F(TraceReject, RecordCountMultipleOfBurst)
 }
 
 /**
- * Recording folds the footer digest on a helper thread; the file must
- * stay byte-identical to the one the inline digest wrote. Pinned to
- * the XXH64 of compress at scale 1 as recorded before the helper
- * existed, so any change to the bytes on disk shows here.
+ * The bytes recordTrace writes, footer digest included, are pinned to
+ * the XXH64 of the version-2 recording of compress at scale 1 (checked
+ * against an independent XXH64 of the file and of its piece digests),
+ * so any change to the bytes on disk shows here.
  */
 TEST(TraceWriter, RecordedBytesArePinned)
 {
     const std::string path = tmpPath("pinned_compress");
     trace::recordTrace(
         workloads::buildProgram(workloads::byName("compress"), 1), path);
-    EXPECT_EQ(trace::traceFileHash(path), 0x7049a17c630369cbull);
+    EXPECT_EQ(trace::traceFileHash(path), 0x5bc457b866707a1eull);
+    std::remove(path.c_str());
+}
+
+/**
+ * Recording folds its digests inline, and a load on one worker reads
+ * on the caller: neither starts a thread. Four workers start three
+ * beside the caller.
+ */
+TEST(TraceWriter, RecordingAndOneWorkerLoadStartNoThread)
+{
+    const std::string path = tmpPath("no_thread");
+    const std::uint64_t before = concurrentThreadsStarted();
+    trace::recordTrace(
+        workloads::buildProgram(workloads::byName("queens"), 1), path);
+    trace::loadTrace(path);
+    EXPECT_EQ(concurrentThreadsStarted(), before);
+    trace::loadTrace(path, 4);
+    EXPECT_EQ(concurrentThreadsStarted(), before + 3);
     std::remove(path.c_str());
 }
 
@@ -715,9 +851,8 @@ TEST_F(TraceReject, WriterRefusesUnwritablePath)
 
 /**
  * A recording cut off at its instruction limit throws from mid-stream,
- * past the writer's first ring lap: the digest helper is joined (a
- * thread left unjoined would end the test process), and the file it
- * leaves behind is rejected as unfinalized.
+ * nine bursts in, and the file it leaves behind is rejected as
+ * unfinalized.
  */
 TEST_F(TraceReject, RecordingCutAtInstructionLimit)
 {

@@ -474,7 +474,7 @@ main(int argc, char **argv)
                      : "-"});
         }
         std::printf("%s", table.render().c_str());
-        const std::string figure = spec.render(opt, results);
+        const std::string figure = spec.render(opt, sweep_jobs, results);
         if (!figure.empty())
             std::printf("\n%s", figure.c_str());
 
