@@ -84,6 +84,8 @@ cmake --build build-asan -j --target \
     test_fuzz test_vpred test_mask_width test_mem test_sweep
 ./build-asan/tests/test_core_base
 ./build-asan/tests/test_core_vspec
+# Includes StoreTableShortcuts.*: byte masks, block marks and shifts
+# over accesses that straddle blocks or wrap past 2^64.
 ./build-asan/tests/test_core_misc
 # The ledger's slot-indexed record table is allocation-lifetime
 # territory; run the attribution/ledger suite under ASan too.
@@ -92,6 +94,8 @@ cmake --build build-asan -j --target \
 # The cycle wheel under the event queue moves bucket storage around
 # on every drain and on growth.
 ./build-asan/tests/test_event_queue
+# Includes SelectOrder.*: the selection walk indexes its class masks
+# by ring rank at every head offset, windows 24 to 512.
 ./build-asan/tests/test_scheduler
 ./build-asan/tests/test_sweepdiff
 # Predictor tables do wrapping arithmetic on 64-bit values (stride

@@ -28,18 +28,23 @@
  * whose slot is no longer Timed for that cycle is stale and skipped.
  *
  * The collect result is the exact set the monolithic scan used to
- * produce; selection order is re-established by the caller's
- * (prio, spec, seq) sort, so the scan and ready-list paths are
- * bit-identical (asserted by tests/test_scheduler.cc).
+ * produce, unordered. SelectOrder below puts either path's candidates
+ * in (prio, spec, seq) order without sorting, so the scan and
+ * ready-list paths are bit-identical (asserted by
+ * tests/test_scheduler.cc).
  */
 
 #ifndef VSIM_CORE_ISSUE_SCHEDULER_HH
 #define VSIM_CORE_ISSUE_SCHEDULER_HH
 
+#include <algorithm>
+#include <bit>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
 #include "cycle_wheel.hh"
+#include "policy/select_policy.hh"
 
 namespace vsim::core
 {
@@ -185,6 +190,70 @@ class IssueScheduler
     CycleWheel<int> timers;
     std::vector<int> woken; //!< the timer bucket being drained
     std::vector<int> ready;
+};
+
+/**
+ * One cycle's issue candidates in selection order (§3.5): ascending
+ * (prio, spec, seq). A candidate is a bit at its program-order rank
+ * (its index from the head of the window's order ring) in one of four
+ * bitmasks, one per SelectKey class. drain() walks the classes in
+ * order and each mask from its lowest bit up, which is oldest first,
+ * so ordering a cycle costs one bit per candidate plus a pass over
+ * 4 x capacity/64 words, with no comparison sort.
+ */
+class SelectOrder
+{
+  public:
+    /** Empty, for ranks below @p capacity. */
+    void
+    reset(std::size_t capacity)
+    {
+        words_ = (capacity + 63) / 64;
+        bits_.assign(kClasses * words_, 0);
+    }
+
+    /** Queue the candidate at program-order rank @p rank. */
+    void
+    add(SelectKey key, std::size_t rank)
+    {
+        bits_[static_cast<std::size_t>(key.cls()) * words_ + rank / 64] |=
+            std::uint64_t{1} << (rank % 64);
+    }
+
+    /**
+     * Call @p fn(rank) for the queued candidates in selection order
+     * until it returns false; the order is empty afterwards either
+     * way.
+     */
+    template <typename Fn>
+    void
+    drain(Fn &&fn)
+    {
+        // Classes lie one after another, each lowest rank first, so
+        // one pass over the words is the selection order.
+        for (std::size_t i = 0; i < bits_.size(); ++i) {
+            std::uint64_t w = bits_[i];
+            if (!w)
+                continue;
+            bits_[i] = 0;
+            const std::size_t base = (i % words_) * 64;
+            for (; w; w &= w - 1) {
+                if (!fn(base + static_cast<std::size_t>(
+                                   std::countr_zero(w)))) {
+                    std::fill(bits_.begin()
+                                  + static_cast<std::ptrdiff_t>(i + 1),
+                              bits_.end(), 0);
+                    return;
+                }
+            }
+        }
+    }
+
+  private:
+    static constexpr std::size_t kClasses = 4;
+    std::size_t words_ = 0;
+    /** Class-major: class c's rank r is bit r of words [c*words_, ...). */
+    std::vector<std::uint64_t> bits_;
 };
 
 } // namespace vsim::core

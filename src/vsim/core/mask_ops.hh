@@ -91,6 +91,23 @@ wordAt(const SpecMask<Bits> &m, std::size_t wi)
     }
 }
 
+/** Set the bits of @p w in word @p wi of @p m, in place. */
+template <std::size_t Bits>
+inline void
+orWordAt(SpecMask<Bits> &m, std::size_t wi, std::uint64_t w)
+{
+    if constexpr (kDirectWordView<Bits>) {
+        unsigned char *p =
+            reinterpret_cast<unsigned char *>(&m) + wi * sizeof(w);
+        std::uint64_t cur;
+        std::memcpy(&cur, p, sizeof(cur));
+        cur |= w;
+        std::memcpy(p, &cur, sizeof(cur));
+    } else {
+        m |= SpecMask<Bits>(w) << (wi * 64);
+    }
+}
+
 /** @return @p m as 64-bit words, cheapest way the host allows. */
 template <std::size_t Bits>
 inline MaskWords<Bits>

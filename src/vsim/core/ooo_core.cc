@@ -61,6 +61,8 @@ BasicOooCore<Bits>::BasicOooCore(
     bpTrained.assign(trace.entries.size(), false);
 
     windowOrder.reset(cfg.windowSize);
+    orderPos.assign(static_cast<std::size_t>(cfg.windowSize), 0);
+    selectOrder.reset(windowOrder.capacity());
     lsq.reset(cfg.windowSize);
     subsIndex.reset(cfg.windowSize);
 
@@ -597,16 +599,10 @@ BasicOooCore<Bits>::classifyCycle(std::uint64_t retired_delta)
             }
         }
     }
-    if (e.inst.isLoad()) {
-        const std::uint64_t addr =
-            e.src[0].value
-            + static_cast<std::uint64_t>(
-                  static_cast<std::int64_t>(e.inst.imm));
-        if (!disambiguate(e, addr).mayIssue)
-            return CpiCat::Memory; // blocked behind older stores
-        if (dcachePortsUsed >= cfg.effDcachePorts())
-            return CpiCat::Memory; // data-cache ports exhausted
-    }
+    // No store is older than the head, so the ordering rule never
+    // holds a load here; only the data-cache ports can.
+    if (e.inst.isLoad() && dcachePortsUsed >= cfg.effDcachePorts())
+        return CpiCat::Memory;
     // The head is issueable but was not selected (dispatched this very
     // cycle, or lost the width race): window pressure when the window
     // is full, plain pipeline latency otherwise.

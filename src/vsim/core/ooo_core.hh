@@ -69,6 +69,7 @@
 #include "policy/policies.hh"
 #include "snapshot.hh"
 #include "spec_model.hh"
+#include "store_table.hh"
 #include "subscriber_index.hh"
 #include "window_types.hh"
 #include "vsim/obs/interval.hh"
@@ -104,23 +105,6 @@ struct SimOutcome
  */
 using PredictionOverride = std::function<std::optional<std::uint64_t>(
     std::uint64_t pc, std::uint64_t correct_value)>;
-
-/**
- * One in-flight store as load disambiguation sees it in a cycle: the
- * fields of its RsEntry that the ordering rule, the forwarding test
- * and the byte merge read, packed so a load's pass streams a compact
- * array instead of the window's wide entries.
- */
-struct StoreView
-{
-    std::uint64_t seq;
-    std::uint64_t addr; //!< meaningful only when addrKnown
-    std::uint64_t data; //!< the data operand's value
-    int slot;
-    std::uint8_t size;
-    bool addrKnown;  //!< address computed
-    bool dataUsable; //!< data present under the resolution rule
-};
 
 /**
  * The core with every dependence mask Bits wide; the window may hold
@@ -257,27 +241,20 @@ class BasicOooCore : private SpecHooks<Bits>
     bool canIssue(const RsEntry<Bits> &e) const;
     WakeClass classifyWakeup(int slot) const;
 
-    /** What one disambiguation pass found for a load. */
-    struct LoadCheck
-    {
-        bool mayIssue = true; //!< every older store allows the load
-        /** Load bytes some older store covers (mask over the value). */
-        std::uint64_t covered = 0;
-        /** The youngest covering store's data on those bytes. */
-        std::uint64_t forwarded = 0;
-
-        bool forwards() const { return covered != 0; }
-    };
     /** The LSQ's stores for the current cycle, rebuilt on first use. */
-    const std::vector<StoreView> &storeTable();
+    const StoreTable &
+    storeTable()
+    {
+        if (storesCycle != cycle)
+            buildStoreTable();
+        return stores;
+    }
+    void buildStoreTable();
     /**
-     * One pass over the stores older than load @p e at @p addr: the
-     * ordering rule, forwarding and the forwarded bytes. A non-null
-     * @p mem_deps collects the load's memory-carried dependences
-     * (speculative memory resolution, at issue).
+     * Selection's memory checks for load candidate @p e: the ordering
+     * rule, and a free data-cache port unless the load forwards.
      */
-    LoadCheck disambiguate(const RsEntry<Bits> &e, std::uint64_t addr,
-                           SpecMask<Bits> *mem_deps = nullptr);
+    bool loadMayIssue(const RsEntry<Bits> &e);
     /** Memory ops may resolve with speculative operands (§3.2). */
     bool specMemResolution() const
     {
@@ -392,19 +369,13 @@ class BasicOooCore : private SpecHooks<Bits>
      * before issue, and dispatch appends only younger entries, so one
      * build serves every load checked or issued in the cycle.
      */
-    std::vector<StoreView> stores;
+    StoreTable stores;
     std::uint64_t storesCycle = UINT64_MAX; //!< cycle `stores` describes
 
-    /** One issue candidate in the selection sort. */
-    struct Candidate
-    {
-        int prio;   //!< 0 issues first (SelectKey)
-        int spec;   //!< tie break within a prio class
-        std::uint64_t seq;
-        int slot;
-    };
-    /** This cycle's issue candidates (storage reused every cycle). */
-    std::vector<Candidate> issueCands;
+    /** Per slot: its position in windowOrder's storage (dispatch). */
+    std::vector<std::size_t> orderPos;
+    /** This cycle's issue candidates by class and age. */
+    SelectOrder selectOrder;
 
     // fetch
     struct FetchedInst

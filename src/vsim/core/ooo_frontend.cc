@@ -163,18 +163,18 @@ template <std::size_t Bits>
 void
 BasicOooCore<Bits>::captureOperand(RsEntry<Bits> &e, int idx, int reg)
 {
+    // allocSlot() has just reset the whole entry: the operand starts
+    // Unused, with no tag and no dependence bits.
     Operand<Bits> &o = e.src[idx];
-    o = Operand<Bits>{};
-    if (reg < 0) {
-        o.state = OperandState::Unused;
+    VSIM_DEBUG_ASSERT(!o.used() && o.tag == -1,
+                      "operand captured into a used entry");
+    if (reg < 0)
         return;
-    }
     o.reg = reg;
     const int t = reg == 0 ? -1 : regTag[static_cast<std::size_t>(reg)];
     if (t < 0) {
         o.value = reg == 0 ? 0 : archRegs[static_cast<std::size_t>(reg)];
         o.state = OperandState::Valid;
-        o.tag = -1;
         o.readyAt = cycle;
         o.validAt = cycle;
         return;
@@ -309,7 +309,8 @@ BasicOooCore<Bits>::dispatchStage()
             regTag[static_cast<std::size_t>(dest)] = slot;
         if (e.inst.isMem())
             lsq.push_back(slot);
-        windowOrder.push_back(slot);
+        orderPos[static_cast<std::size_t>(slot)] =
+            windowOrder.push_back(slot);
         touchWakeup(slot);
 
         if (tracingEnabled) {

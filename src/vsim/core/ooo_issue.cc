@@ -1,6 +1,6 @@
 /**
  * @file
- * Backend wakeup/select/issue of the layered core. Two selection
+ * Backend wakeup/select/issue of the layered core. Two wakeup
  * implementations produce the same candidate set every cycle:
  *
  *  - Scan: the legacy O(window) rescan of every reservation station
@@ -10,14 +10,19 @@
  *    classifyWakeup() maps the entry onto ready-now / ready-at-a-
  *    known-cycle / parked-until-an-event.
  *
- * Both paths feed the same (prio, spec, seq) sort, where the key comes
- * from the model's SelectionPolicy (§3.5), so runs are bit-identical.
- * Load store-ordering and data-cache-port constraints are evaluated in
- * the selection loop (not in wakeup): a load blocked by them stays a
- * candidate and retries, exactly as the scan behaved. Each check is
- * one pass of disambiguate() over a compact table of the LSQ's stores,
- * built once per cycle (storeTable); the issuing load's byte merge and
- * the CPI classifier go through the same routine.
+ * Both feed the same SelectOrder: each candidate is a bit at its
+ * program-order rank in the bitmask of its SelectionPolicy class
+ * (§3.5), and walking the classes in order, each oldest first, is the
+ * (prio, spec, seq) order without a sort, so runs are bit-identical.
+ * Load store-ordering and data-cache-port constraints are evaluated
+ * in the selection walk (not in wakeup): a load blocked by them stays
+ * a candidate and retries, exactly as the scan behaved. Each check is
+ * one pass over a compact table of the LSQ's stores, built once per
+ * cycle (storeTable, store_table.hh). The table's summaries answer
+ * without the pass for a load behind a store with an unknown address
+ * (blocked) and for one that shares no 8-byte block with any store
+ * (issues if a data-cache port is free). The issuing load's byte
+ * merge goes through the same pass.
  */
 
 #include "ooo_core.hh"
@@ -30,67 +35,10 @@
 namespace vsim::core
 {
 
-namespace
-{
-
-/** Mask of the low @p n bytes of a 64-bit value (all of it from 8). */
-std::uint64_t
-lowBytes(std::uint64_t n)
-{
-    return n >= 8 ? ~std::uint64_t{0} : (std::uint64_t{1} << (8 * n)) - 1;
-}
-
-/**
- * The ordering rule's overlap test: the store's and the load's byte
- * ranges intersect, with the range ends wrapping modulo 2^64.
- */
-bool
-overlaps(const StoreView &s, std::uint64_t addr, int size)
-{
-    return std::max(s.addr, addr)
-           < std::min(s.addr + s.size,
-                      addr + static_cast<std::uint64_t>(size));
-}
-
-/**
- * The bytes of the @p size-byte load at @p addr that store @p s
- * covers, as a mask over the load's little-endian value, with the
- * store's data shifted onto those bytes in @p placed. Byte addresses
- * compare one by one modulo 2^64: a store whose range wraps past the
- * top of the address space covers nothing, and a wrapping load still
- * finds the bytes it wraps onto. Nonzero exactly when overlaps() holds
- * unless one of the two ranges wraps.
- */
-std::uint64_t
-coverMask(const StoreView &s, std::uint64_t addr, int size,
-          std::uint64_t &placed)
-{
-    if (s.addr + s.size < s.addr)
-        return 0;
-    const auto n = static_cast<std::uint64_t>(size);
-    // The store starts `ahead` bytes into the load ...
-    const std::uint64_t ahead = s.addr - addr;
-    if (ahead < n) {
-        placed = s.data << (8 * ahead);
-        return lowBytes(ahead + s.size) & lowBytes(n) & ~lowBytes(ahead);
-    }
-    // ... or `behind` bytes before it.
-    const std::uint64_t behind = addr - s.addr;
-    if (behind < s.size) {
-        placed = s.data >> (8 * behind);
-        return lowBytes(s.size - behind) & lowBytes(n);
-    }
-    return 0;
-}
-
-} // namespace
-
 template <std::size_t Bits>
-const std::vector<StoreView> &
-BasicOooCore<Bits>::storeTable()
+void
+BasicOooCore<Bits>::buildStoreTable()
 {
-    if (storesCycle == cycle)
-        return stores;
     storesCycle = cycle;
     stores.clear();
     const bool spec = specMemResolution();
@@ -103,7 +51,7 @@ BasicOooCore<Bits>::storeTable()
         // predicted or speculative value forwards as-is and the load
         // carries the store's dependence bits in memDeps instead.
         const Operand<Bits> &data = s.src[0];
-        stores.push_back(
+        stores.push(
             {s.seq, s.memAddr, data.value, slot,
              static_cast<std::uint8_t>(s.inst.memSize()),
              s.addrReady,
@@ -111,59 +59,33 @@ BasicOooCore<Bits>::storeTable()
                  && (spec ? data.hasValue()
                           : data.state == OperandState::Valid)});
     }
-    return stores;
 }
 
 template <std::size_t Bits>
-typename BasicOooCore<Bits>::LoadCheck
-BasicOooCore<Bits>::disambiguate(const RsEntry<Bits> &e,
-                                 std::uint64_t addr,
-                                 SpecMask<Bits> *mem_deps)
+bool
+BasicOooCore<Bits>::loadMayIssue(const RsEntry<Bits> &e)
 {
     // Loads execute only once every preceding store address is known
     // (§2.1); bytes covered by an older store additionally need the
-    // store's data to be usable. Selection asks whether the load may
-    // issue and, once the data-cache ports are used up, whether it
-    // would forward; the issuing load takes its forwarded bytes.
-    //
-    // Under speculative memory resolution the issuing load also
-    // collects in @p mem_deps the predictions its result depends on
-    // *through the LSQ*. Two channels:
-    //
-    //  - disambiguation: the ordering check consulted every older
-    //    store's address, and those addresses may have been computed
-    //    from speculative operands — a mispredicted address re-opens
-    //    the check, so the address operands' dependence bits ride
-    //    along for every older store regardless of overlap (whether
-    //    the store overlaps is itself part of the speculation);
-    //  - forwarding: bytes taken from an overlapping store's data
-    //    operand inherit that operand's dependence bits.
-    //
-    // Register-carried dependences (the load's own address base) are
-    // covered by the ordinary operand masks and are not duplicated
-    // here.
+    // store's data to be usable. A load that does not forward needs a
+    // data-cache port.
+    const StoreTable &st = storeTable();
+    if (st.unknownOlderThan(e.seq))
+        return false;
+    // Effective address needed for the ordering check; compute it from
+    // the base operand (cheap, pure).
+    const std::uint64_t addr =
+        e.src[0].value
+        + static_cast<std::uint64_t>(static_cast<std::int64_t>(e.inst.imm));
     const int size = e.inst.memSize();
-    LoadCheck r;
-    for (const StoreView &s : storeTable()) {
-        if (s.seq >= e.seq)
-            break;
-        const bool overlap = overlaps(s, addr, size);
-        if (!s.addrKnown || (overlap && !s.dataUsable))
-            return {false, 0, 0};
-        // Oldest to youngest: the youngest store covering a byte wins.
-        std::uint64_t placed = 0;
-        const std::uint64_t mask = coverMask(s, addr, size, placed);
-        r.forwarded = (r.forwarded & ~mask) | (placed & mask);
-        r.covered |= mask;
-        if (mem_deps) {
-            const RsEntry<Bits> &st = entry(s.slot);
-            if (st.src[1].used())
-                *mem_deps |= st.src[1].deps;
-            if (overlap && st.src[0].used())
-                *mem_deps |= st.src[0].deps;
-        }
-    }
-    return r;
+    const bool port_free = dcachePortsUsed < cfg.effDcachePorts();
+    // Every older store has an address. A load that shares no block
+    // with any store overlaps none, so none blocks it or forwards to
+    // it: it issues exactly when a port is free.
+    if (!st.mayShareBlock(addr, size))
+        return port_free;
+    const LoadCheck lc = st.disambiguate(e.seq, addr, size);
+    return lc.mayIssue && (port_free || lc.forwards());
 }
 
 template <std::size_t Bits>
@@ -328,13 +250,41 @@ BasicOooCore<Bits>::issueEntry(RsEntry<Bits> &e)
         e.memAddr = out.memAddr;
         e.memDeps.reset();
         const bool spec_mem = specMemResolution();
+        const int size = e.inst.memSize();
+        const StoreTable &st = storeTable();
+        // The forwarded bytes, and under speculative memory resolution
+        // the predictions the result depends on *through the LSQ*
+        // (memDeps). Two channels:
+        //
+        //  - disambiguation: the ordering check consulted every older
+        //    store's address, and those addresses may have been
+        //    computed from speculative operands — a mispredicted
+        //    address re-opens the check, so the address operands'
+        //    dependence bits ride along for every older store
+        //    regardless of overlap (whether the store overlaps is
+        //    itself part of the speculation);
+        //  - forwarding: bytes taken from an overlapping store's data
+        //    operand inherit that operand's dependence bits.
+        //
+        // Register-carried dependences (the load's own address base)
+        // are covered by the ordinary operand masks and are not
+        // duplicated here.
         const LoadCheck lc =
-            disambiguate(e, e.memAddr, spec_mem ? &e.memDeps : nullptr);
+            spec_mem ? st.disambiguate(
+                           e.seq, e.memAddr, size,
+                           [&](const StoreView &s, bool overlap) {
+                               const RsEntry<Bits> &sr = entry(s.slot);
+                               if (sr.src[1].used())
+                                   e.memDeps |= sr.src[1].deps;
+                               if (overlap && sr.src[0].used())
+                                   e.memDeps |= sr.src[0].deps;
+                           })
+                     : st.disambiguate(e.seq, e.memAddr, size);
         VSIM_DEBUG_ASSERT(lc.mayIssue,
                           "load issued against the ordering rule");
-        const int size = e.inst.memSize();
         std::uint64_t raw = lc.forwarded;
-        if (lc.covered != lowBytes(static_cast<std::uint64_t>(size)))
+        if (lc.covered
+            != lsq::lowBytes(static_cast<std::uint64_t>(size)))
             raw |= memory.read(e.memAddr, size) & ~lc.covered;
         c.value = arch::loadExtend(e.inst, raw);
         if (spec_mem) {
@@ -381,9 +331,7 @@ BasicOooCore<Bits>::issueStage()
     if (halted)
         return;
 
-    issueCands.clear();
-
-    const auto addCandidate = [&](int slot) {
+    const auto addCandidate = [&](int slot, std::size_t rank) {
         const RsEntry<Bits> &e = entry(slot);
         bool spec = false;
         for (const Operand<Bits> &o : e.src) {
@@ -391,8 +339,7 @@ BasicOooCore<Bits>::issueStage()
                 spec = true;
         }
         const bool typed = e.inst.isBranch() || e.inst.isLoad();
-        const SelectKey k = policies.select->key(typed, spec);
-        issueCands.push_back({k.prio, k.spec, e.seq, slot});
+        selectOrder.add(policies.select->key(typed, spec), rank);
     };
 
     if (readyListScheduler()) {
@@ -402,55 +349,33 @@ BasicOooCore<Bits>::issueStage()
             VSIM_DEBUG_ASSERT(canIssue(entry(slot)),
                               "ready-list slot fails the wakeup "
                               "conditions");
-            addCandidate(slot);
+            addCandidate(slot, windowOrder.rankOf(
+                                   orderPos[static_cast<std::size_t>(slot)]));
         }
     } else {
-        for (int slot : windowOrder) {
+        for (std::size_t rank = 0; rank < windowOrder.size(); ++rank) {
+            const int slot = windowOrder[rank];
             if (canIssue(entry(slot)))
-                addCandidate(slot);
+                addCandidate(slot, rank);
         }
     }
-
-    std::sort(issueCands.begin(), issueCands.end(),
-              [](const Candidate &a, const Candidate &b) {
-                  if (a.prio != b.prio)
-                      return a.prio < b.prio;
-                  if (a.spec != b.spec)
-                      return a.spec < b.spec;
-                  return a.seq < b.seq;
-              });
 
     int issued = 0;
-    for (const Candidate &cand : issueCands) {
-        if (issued >= cfg.issueWidth)
-            break;
-        RsEntry<Bits> &e = entry(cand.slot);
-        if (e.inst.isLoad()) {
-            // Effective address needed for the ordering check; compute
-            // it from the base operand (cheap, pure).
-            const LoadCheck lc = disambiguate(
-                e, e.src[0].value
-                       + static_cast<std::uint64_t>(
-                           static_cast<std::int64_t>(e.inst.imm)));
-            if (!lc.mayIssue)
-                continue;
-            // Loads that cannot forward need a data-cache port.
-            if (!lc.forwards() && dcachePortsUsed >= cfg.effDcachePorts())
-                continue;
-        }
+    selectOrder.drain([&](std::size_t rank) {
+        RsEntry<Bits> &e = entry(windowOrder[rank]);
+        if (e.inst.isLoad() && !loadMayIssue(e))
+            return true;
         issueEntry(e);
-        ++issued;
-    }
+        return ++issued < cfg.issueWidth;
+    });
 }
 
 // This file's members at every mask width (the class and the members
 // defined in ooo_core.cc are instantiated there).
 #define VSIM_INSTANTIATE(Bits)                                            \
-    template const std::vector<StoreView> &                               \
-    BasicOooCore<Bits>::storeTable();                                     \
-    template BasicOooCore<Bits>::LoadCheck                                \
-    BasicOooCore<Bits>::disambiguate(const RsEntry<Bits> &, std::uint64_t, \
-                                     SpecMask<Bits> *);                   \
+    template void BasicOooCore<Bits>::buildStoreTable();                  \
+    template bool BasicOooCore<Bits>::loadMayIssue(                       \
+        const RsEntry<Bits> &);                                           \
     template bool BasicOooCore<Bits>::canIssue(const RsEntry<Bits> &)     \
         const;                                                            \
     template WakeClass BasicOooCore<Bits>::classifyWakeup(int) const;     \

@@ -16,7 +16,7 @@ class TypedSpecLastPolicy final : public SelectionPolicy
     SelectKey
     key(bool typed_first, bool speculative) const override
     {
-        return {typed_first ? 0 : 1, speculative ? 1 : 0};
+        return {!typed_first, speculative};
     }
 };
 
@@ -28,7 +28,7 @@ class TypedOnlyPolicy final : public SelectionPolicy
     SelectKey
     key(bool typed_first, bool) const override
     {
-        return {typed_first ? 0 : 1, 0};
+        return {!typed_first, false};
     }
 };
 
@@ -37,7 +37,7 @@ class OldestFirstPolicy final : public SelectionPolicy
 {
   public:
     const char *name() const override { return "oldest-first"; }
-    SelectKey key(bool, bool) const override { return {0, 0}; }
+    SelectKey key(bool, bool) const override { return {false, false}; }
 };
 
 /** Aggressive speculation-first scheduling. */
@@ -48,7 +48,7 @@ class TypedSpecFirstPolicy final : public SelectionPolicy
     SelectKey
     key(bool typed_first, bool speculative) const override
     {
-        return {typed_first ? 0 : 1, speculative ? 0 : 1};
+        return {!typed_first, !speculative};
     }
 };
 

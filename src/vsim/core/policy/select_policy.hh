@@ -2,9 +2,12 @@
  * @file
  * Issue-selection policies (§3.5) as strategy objects. A policy maps
  * a wakeup candidate's raw attributes — is it a branch/load, does any
- * operand still carry speculative state — to a (prio, spec) sort key;
+ * operand still carry speculative state — to a (prio, spec) key;
  * candidates issue in ascending (prio, spec, seq) order, so lower
- * keys win and age breaks every tie.
+ * keys win and age breaks every tie. Each half of the key is one bit,
+ * so a key names one of four classes (SelectKey::cls) and the issue
+ * stage walks the classes in order, oldest first within each, rather
+ * than sorting (SelectOrder in issue_scheduler.hh).
  */
 
 #ifndef VSIM_CORE_POLICY_SELECT_POLICY_HH
@@ -17,11 +20,14 @@
 namespace vsim::core
 {
 
-/** Sort key of one wakeup candidate; compared before age. */
+/** Selection key of one wakeup candidate; compared before age. */
 struct SelectKey
 {
-    int prio; //!< 0 = issue first
-    int spec; //!< within a prio class, 0 issues first
+    bool prio; //!< false = issue first
+    bool spec; //!< within a prio class, false issues first
+
+    /** The key's class, 0..3 in issue order: (prio, spec) as bits. */
+    int cls() const { return 2 * prio + spec; }
 
     bool operator==(const SelectKey &) const = default;
 };

@@ -62,13 +62,34 @@ class SlotRing
         return buf_[(head_ + i) & mask_];
     }
 
-    void
+    /**
+     * Append @p v. @return its position in the ring's storage, which
+     * stays put until @p v leaves; rankOf() turns it into an index
+     * from the front.
+     */
+    std::size_t
     push_back(int v)
     {
         VSIM_DEBUG_ASSERT(size_ < buf_.size(), "ring overflow");
-        buf_[(head_ + size_) & mask_] = v;
+        const std::size_t pos = (head_ + size_) & mask_;
+        buf_[pos] = v;
         ++size_;
+        return pos;
     }
+
+    /**
+     * Index from the front (0 = oldest) of the element at storage
+     * position @p pos, as push_back() returned it. Exact while that
+     * element is in the ring; the subtraction wraps with the ring.
+     */
+    std::size_t
+    rankOf(std::size_t pos) const
+    {
+        return (pos - head_) & mask_;
+    }
+
+    /** Storage positions (and ranks) are below this power of two. */
+    std::size_t capacity() const { return buf_.size(); }
 
     void
     pop_front()

@@ -32,6 +32,8 @@
 #define VSIM_CORE_SUBSCRIBER_INDEX_HH
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -67,14 +69,13 @@ class SubscriberIndex
     void
     note(int slot, const SpecMask<Bits> &gained)
     {
-        const std::size_t s = static_cast<std::size_t>(slot);
-        const SpecMask<Bits> fresh = gained & ~subscribed_[s];
-        if (fresh.none())
-            return;
-        subscribed_[s] |= fresh;
-        mask::forEachSetBit(fresh, [&](int p) {
-            subs_[static_cast<std::size_t>(p)].push_back(slot);
-        });
+        const SpecMask<Bits> &had =
+            subscribed_[static_cast<std::size_t>(slot)];
+#pragma GCC unroll 8
+        for (std::size_t wi = 0; wi < mask::kMaskWords<Bits>; ++wi) {
+            noteWord(slot, wi,
+                     mask::wordAt(gained, wi) & ~mask::wordAt(had, wi));
+        }
     }
 
     /** note() over the union of all of @p e's dependence masks. */
@@ -83,11 +84,16 @@ class SubscriberIndex
     {
         if (!e.busy) // a free slot holds no live masks (slot may be -1)
             return;
-        SpecMask<Bits> m = e.src[0].deps;
-        m |= e.src[1].deps;
-        m |= e.outDeps;
-        m |= e.memDeps;
-        note(e.slot, m);
+        const SpecMask<Bits> &had =
+            subscribed_[static_cast<std::size_t>(e.slot)];
+#pragma GCC unroll 8
+        for (std::size_t wi = 0; wi < mask::kMaskWords<Bits>; ++wi) {
+            const std::uint64_t m = mask::wordAt(e.src[0].deps, wi)
+                                    | mask::wordAt(e.src[1].deps, wi)
+                                    | mask::wordAt(e.outDeps, wi)
+                                    | mask::wordAt(e.memDeps, wi);
+            noteWord(e.slot, wi, m & ~mask::wordAt(had, wi));
+        }
     }
 
     /**
@@ -209,6 +215,24 @@ class SubscriberIndex
     }
 
   private:
+    /**
+     * Subscribe @p slot to the bits of @p fresh, word @p wi of a mask
+     * (none of them subscribed yet), lowest bit first.
+     */
+    void
+    noteWord(int slot, std::size_t wi, std::uint64_t fresh)
+    {
+        if (!fresh)
+            return;
+        mask::orWordAt(subscribed_[static_cast<std::size_t>(slot)], wi,
+                       fresh);
+        for (; fresh; fresh &= fresh - 1) {
+            subs_[wi * 64 + static_cast<std::size_t>(
+                                std::countr_zero(fresh))]
+                .push_back(slot);
+        }
+    }
+
     std::vector<std::vector<int>> subs_; //!< per prediction bit
     std::vector<SpecMask<Bits>> subscribed_; //!< per slot: bits in subs_
     std::vector<int> scratch_;           //!< collect() output storage

@@ -2,15 +2,19 @@
  * @file
  * Core odds and ends: configuration validation, full-stack determinism
  * with value prediction enabled, retired-count/trace-length
- * invariants, and stats consistency.
+ * invariants, stats consistency, and the store table's load shortcuts
+ * against the full disambiguation pass.
  */
 
 #include <gtest/gtest.h>
+
+#include <random>
 
 #include "vsim/assembler/assembler.hh"
 #include "vsim/base/logging.hh"
 #include "vsim/core/ooo_core.hh"
 #include "vsim/core/snapshot.hh"
+#include "vsim/core/store_table.hh"
 #include "vsim/workloads/workloads.hh"
 
 namespace
@@ -179,6 +183,85 @@ TEST(SelfModifyingText, SnapshotStartSeesStoredText)
     const SimOutcome out = core.run();
     EXPECT_TRUE(out.halted);
     EXPECT_EQ(out.exitCode, 2u);
+}
+
+// Selection answers a load without walking the store table when an
+// older store's address is unknown (the load is blocked), or when
+// the load shares no 8-byte block with any store (nothing blocks it
+// or forwards to it, so it issues exactly when a data-cache port is
+// free). Each shortcut must only ever say what the full pass says.
+// Byte-wise modulo 2^64, not only under today's interval rule: no
+// known-address store may write a byte of a load the second shortcut
+// answers.
+TEST(StoreTableShortcuts, AgreeWithTheFullPass)
+{
+    std::mt19937_64 rng(1994);
+    const int sizes[] = {1, 2, 4, 8};
+    // Accesses cluster within 12 bytes of 0 (= 2^64) and of an
+    // ordinary address, so they overlap, straddle 8-byte blocks and
+    // wrap past the top of the address space, at any alignment.
+    const auto address = [&] {
+        const std::uint64_t centre = rng() % 2 ? 0 : 0x10000;
+        return centre - 12 + rng() % 24;
+    };
+    core::StoreTable table;
+    std::uint64_t rejected = 0, skipped = 0, forwarded = 0;
+    for (int trial = 0; trial < 20000; ++trial) {
+        table.clear();
+        // Stores take even seqs and loads odd ones, as each
+        // instruction has its own.
+        const int nstores = static_cast<int>(rng() % 12);
+        for (int i = 0; i < nstores; ++i) {
+            table.push({2 + 2 * static_cast<std::uint64_t>(i), address(),
+                        rng(), i,
+                        static_cast<std::uint8_t>(sizes[rng() % 4]),
+                        /*addrKnown=*/rng() % 6 != 0,
+                        /*dataUsable=*/rng() % 4 != 0});
+        }
+        for (int q = 0; q < 8; ++q) {
+            const std::uint64_t seq =
+                1 + 2 * (rng() % static_cast<std::uint64_t>(nstores + 1));
+            const std::uint64_t addr = address();
+            const int size = sizes[rng() % 4];
+            const core::LoadCheck full =
+                table.disambiguate(seq, addr, size);
+            forwarded += full.mayIssue && full.forwards();
+            if (table.unknownOlderThan(seq)) {
+                ++rejected;
+                EXPECT_FALSE(full.mayIssue)
+                    << "seq " << seq << " rejected, pass lets it issue";
+            }
+            if (table.mayShareBlock(addr, size))
+                continue;
+            ++skipped;
+            EXPECT_TRUE(!full.mayIssue || full.covered == 0)
+                << "load of " << size << " at " << addr
+                << " skipped, pass forwards " << full.covered;
+            if (!table.unknownOlderThan(seq)) {
+                EXPECT_TRUE(full.mayIssue)
+                    << "load of " << size << " at " << addr
+                    << " skipped, pass blocks it";
+            }
+            for (const core::StoreView &s : table.views()) {
+                if (!s.addrKnown)
+                    continue;
+                bool writes = false;
+                for (std::uint64_t i = 0; i < s.size; ++i) {
+                    for (std::uint64_t j = 0;
+                         j < static_cast<std::uint64_t>(size); ++j)
+                        writes |= s.addr + i == addr + j;
+                }
+                EXPECT_FALSE(writes)
+                    << "load of " << size << " at " << addr
+                    << " skipped, store of " << int{s.size} << " at "
+                    << s.addr << " writes a byte of it";
+            }
+        }
+    }
+    // Every outcome occurs often.
+    EXPECT_GT(rejected, 10000u);
+    EXPECT_GT(skipped, 10000u);
+    EXPECT_GT(forwarded, 10000u);
 }
 
 TEST(Invariants, TickStopsAfterHalt)

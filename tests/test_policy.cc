@@ -47,7 +47,7 @@ TEST(SelectPolicyTest, Names)
         "typed-spec-first");
 }
 
-/** (prio, spec) compared lexicographically, as the issue sort does. */
+/** (prio, spec) compared lexicographically, as issue selection does. */
 bool
 beats(const SelectKey &a, const SelectKey &b)
 {

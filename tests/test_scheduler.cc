@@ -1,18 +1,23 @@
 /**
  * @file
  * Tests of the event-driven wakeup/select path: IssueScheduler state
- * transitions in isolation, then the load-bearing system property —
- * full simulations through the ready-list scheduler are bit-identical
- * to the legacy per-cycle window scan.
+ * transitions in isolation, the SelectOrder walk against the
+ * (prio, spec, seq) sort it replaces, then the load-bearing system
+ * property — full simulations through the ready-list scheduler are
+ * bit-identical to the legacy per-cycle window scan.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <numeric>
+#include <random>
+#include <tuple>
 #include <vector>
 
 #include "vsim/core/issue_scheduler.hh"
 #include "vsim/core/ooo_core.hh"
+#include "vsim/core/slot_ring.hh"
 #include "vsim/sim/simulator.hh"
 #include "vsim/workloads/workloads.hh"
 
@@ -177,6 +182,95 @@ TEST(IssueScheduler, ResetDropsAllState)
                      ADD_FAILURE() << "stale timer survived reset";
                      return WakeClass::idle();
                  }).empty());
+}
+
+// =====================================================================
+// SelectOrder: the bucketed walk is the (prio, spec, seq) sort
+// =====================================================================
+
+TEST(SelectOrder, WalkMatchesSortAtEveryRingOffset)
+{
+    // Random candidate sets in a window ring whose head sits at every
+    // storage offset, so program-order ranks wrap around the ring the
+    // way the core computes them: the position push_back() returned
+    // at dispatch, through rankOf(). The walk must give exactly the
+    // order a sort by (prio, spec, seq) gives, also when it stops
+    // early, and must leave nothing queued behind.
+    std::mt19937_64 rng(2002);
+    const core::SelectPolicy policies[] = {
+        core::SelectPolicy::TypedSpecLast, core::SelectPolicy::TypedOnly,
+        core::SelectPolicy::OldestFirst, core::SelectPolicy::TypedSpecFirst};
+    std::size_t walks = 0, wrapped = 0;
+    for (int window : {24, 48, 96, 256, 512}) {
+        SCOPED_TRACE("window " + std::to_string(window));
+        core::SlotRing ring;
+        ring.reset(window);
+        const std::size_t capacity = ring.capacity();
+        core::SelectOrder order;
+        order.reset(capacity);
+        std::vector<int> slots(static_cast<std::size_t>(window));
+        std::iota(slots.begin(), slots.end(), 0);
+        std::vector<std::size_t> pos(slots.size());
+        for (std::size_t head = 0; head < capacity; ++head) {
+            for (core::SelectPolicy sp : policies) {
+                const auto policy = core::makeSelectionPolicy(sp);
+                // An empty ring whose head sits at position `head`.
+                ring.reset(window);
+                for (std::size_t k = 0; k < head; ++k) {
+                    ring.push_back(-1);
+                    ring.pop_front();
+                }
+                // Dispatch n entries onto free physical slots.
+                std::shuffle(slots.begin(), slots.end(), rng);
+                const std::size_t n =
+                    1 + rng() % static_cast<std::size_t>(window);
+                std::vector<std::tuple<bool, bool, std::uint64_t, int>>
+                    expect;
+                for (std::size_t i = 0; i < n; ++i) {
+                    const int slot = slots[i];
+                    pos[static_cast<std::size_t>(slot)] =
+                        ring.push_back(slot);
+                    ASSERT_EQ(ring.rankOf(pos[static_cast<std::size_t>(
+                                  slot)]),
+                              i);
+                    if (rng() % 3 == 0)
+                        continue; // not ready this cycle
+                    const core::SelectKey k =
+                        policy->key(rng() % 2 == 0, rng() % 2 == 0);
+                    // seq grows with dispatch order.
+                    expect.emplace_back(k.prio, k.spec, 1000 + i, slot);
+                    order.add(k, ring.rankOf(
+                                     pos[static_cast<std::size_t>(slot)]));
+                }
+                wrapped += head + n > capacity;
+                std::sort(expect.begin(), expect.end());
+
+                // Stop after `limit` candidates, as the issue width
+                // stops the core's walk; half the time never.
+                const std::size_t limit =
+                    expect.empty() || rng() % 2
+                        ? expect.size()
+                        : 1 + rng() % expect.size();
+                std::vector<int> got;
+                order.drain([&](std::size_t rank) {
+                    got.push_back(ring[rank]);
+                    return got.size() < limit;
+                });
+                std::vector<int> want;
+                for (std::size_t i = 0; i < limit; ++i)
+                    want.push_back(std::get<3>(expect[i]));
+                ASSERT_EQ(got, want) << "head " << head << ", policy "
+                                     << policy->name();
+                order.drain([&](std::size_t rank) {
+                    ADD_FAILURE() << "rank " << rank << " left queued";
+                    return true;
+                });
+                ++walks;
+            }
+        }
+    }
+    EXPECT_EQ(walks, 4u * (32 + 64 + 128 + 256 + 512));
+    EXPECT_GT(wrapped, walks / 4);
 }
 
 // =====================================================================

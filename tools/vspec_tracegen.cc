@@ -21,6 +21,7 @@
 #include "cli_counts.hh"
 #include "vsim/assembler/assembler.hh"
 #include "vsim/base/logging.hh"
+#include "vsim/base/thread_pool.hh"
 #include "vsim/trace/trace_io.hh"
 #include "vsim/workloads/workloads.hh"
 
@@ -56,10 +57,12 @@ generate(const vsim::assembler::Program &prog, const std::string &path,
          const std::string &name)
 {
     const std::uint64_t n = vsim::trace::recordTrace(prog, path);
-    // Re-reading runs the same single validating pass the simulator
-    // loads through (structure, digest, record sanity), so a bad
-    // recording is caught here, not at replay time.
-    vsim::trace::TraceReader reader(path);
+    // Re-reading runs the same validating pass the simulator loads
+    // through (structure, digest, record sanity), so a bad recording
+    // is caught here, not at replay time. The pass splits over one
+    // worker per hardware thread, and reports the same at any count.
+    vsim::trace::TraceReader reader(
+        path, vsim::ThreadPool::defaultThreadCount());
     VSIM_ASSERT(reader.recordCount() == n,
                 "trace re-read record count mismatch");
     std::printf("wrote %s: %llu records, %u text words, "
