@@ -73,7 +73,7 @@ cmake --build build-tsan -j --target test_trace
 ./build-tsan/tests/test_trace --gtest_filter=\
 'TraceReject.*:TraceRoundTrip.Queens:TraceWorkload.*:TraceWriter.*'
 
-echo "== tier-1: Address+UB Sanitizer (core, policy, scheduler, sweep) =="
+echo "== tier-1: Address+UB Sanitizer (core, policy, scheduler, sweep, CLI) =="
 # UBSan only prints by default; halting turns every report into a
 # failed test.
 export UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1
@@ -158,6 +158,13 @@ cmake --build build-asan -j --target test_disk_cache
 cmake --build build-asan -j --target test_sample
 ./build-asan/tests/test_sample --gtest_filter=\
 '-SampledRun.SpeedupErrorWithinBoundOnEveryKernel'
+# Argv is input from outside the program: build the tools here and run
+# every CLI rejection test (ctest label cli_reject) against them, so
+# the option table's parser and each rule it checks run under ASan and
+# UBSan on malformed counts, unknown choices and broken flag rules.
+cmake --build build-asan -j --target vspec_run vspec_sweep \
+    vspec_tracegen vspec_asm vspec_stacks
+(cd build-asan && ctest -L cli_reject --output-on-failure -j "$(nproc)")
 
 echo "== tier-1: golden byte-identity (vspec_run / vspec_sweep) =="
 # Every user-facing table and run output must match the pre-refactor

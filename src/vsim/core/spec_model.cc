@@ -75,94 +75,4 @@ SpecModel::byName(const std::string &name)
                "tuple like 0,0,1,1,1,1,1)");
 }
 
-VerifyScheme
-parseVerifyScheme(const std::string &name)
-{
-    if (name == "flattened" || name == "flat")
-        return VerifyScheme::Flattened;
-    if (name == "hierarchical" || name == "hier")
-        return VerifyScheme::Hierarchical;
-    if (name == "retirement" || name == "retire")
-        return VerifyScheme::RetirementBased;
-    if (name == "hybrid")
-        return VerifyScheme::Hybrid;
-    VSIM_FATAL("unknown verification scheme '", name,
-               "' (expected flattened/hierarchical/retirement/hybrid)");
-}
-
-InvalScheme
-parseInvalScheme(const std::string &name)
-{
-    if (name == "flattened" || name == "flat")
-        return InvalScheme::Flattened;
-    if (name == "hierarchical" || name == "hier")
-        return InvalScheme::Hierarchical;
-    if (name == "complete")
-        return InvalScheme::Complete;
-    VSIM_FATAL("unknown invalidation scheme '", name,
-               "' (expected flattened/hierarchical/complete)");
-}
-
-SelectPolicy
-parseSelectPolicy(const std::string &name)
-{
-    if (name == "typed-spec-last")
-        return SelectPolicy::TypedSpecLast;
-    if (name == "typed-only")
-        return SelectPolicy::TypedOnly;
-    if (name == "oldest-first")
-        return SelectPolicy::OldestFirst;
-    if (name == "typed-spec-first")
-        return SelectPolicy::TypedSpecFirst;
-    VSIM_FATAL("unknown selection policy '", name,
-               "' (expected typed-spec-last/typed-only/oldest-first/"
-               "typed-spec-first)");
-}
-
-const char *
-verifySchemeName(VerifyScheme scheme)
-{
-    switch (scheme) {
-      case VerifyScheme::Flattened:
-        return "flattened";
-      case VerifyScheme::Hierarchical:
-        return "hierarchical";
-      case VerifyScheme::RetirementBased:
-        return "retirement";
-      case VerifyScheme::Hybrid:
-        return "hybrid";
-    }
-    return "?";
-}
-
-const char *
-invalSchemeName(InvalScheme scheme)
-{
-    switch (scheme) {
-      case InvalScheme::Flattened:
-        return "flattened";
-      case InvalScheme::Hierarchical:
-        return "hierarchical";
-      case InvalScheme::Complete:
-        return "complete";
-    }
-    return "?";
-}
-
-const char *
-selectPolicyName(SelectPolicy policy)
-{
-    switch (policy) {
-      case SelectPolicy::TypedSpecLast:
-        return "typed-spec-last";
-      case SelectPolicy::TypedOnly:
-        return "typed-only";
-      case SelectPolicy::OldestFirst:
-        return "oldest-first";
-      case SelectPolicy::TypedSpecFirst:
-        return "typed-spec-first";
-    }
-    return "?";
-}
-
 } // namespace vsim::core

@@ -33,6 +33,7 @@
 #ifndef VSIM_CORE_SPEC_MODEL_HH
 #define VSIM_CORE_SPEC_MODEL_HH
 
+#include <cstddef>
 #include <string>
 
 namespace vsim::core
@@ -154,24 +155,94 @@ struct SpecModel
      * "0,0,1,1,1,1,1"). Fatal on anything else.
      */
     static SpecModel byName(const std::string &name);
+
+    /**
+     * Take @p from's latency variables and name, and keep this
+     * model's model variables: what --model does to a configuration,
+     * whatever the order of the flags.
+     */
+    void setLatencies(const SpecModel &from);
 };
 
 /**
- * Parse a model-variable name from the command line. Accepted names
- * (with short aliases): "flattened"/"flat", "hierarchical"/"hier",
- * "retirement"/"retire", "hybrid" for verification; "flattened",
- * "hierarchical", "complete" for invalidation; "typed-spec-last",
- * "typed-only", "oldest-first", "typed-spec-first" for selection.
- * Fatal with the list of valid names on anything else.
+ * One spelling of an enumerator on the command line. A table lists
+ * each value's canonical name in enum order, then any short aliases;
+ * the tools' flags accept every entry.
  */
-VerifyScheme parseVerifyScheme(const std::string &name);
-InvalScheme parseInvalScheme(const std::string &name);
-SelectPolicy parseSelectPolicy(const std::string &name);
+template <typename E>
+struct Spelling
+{
+    const char *name;
+    E value;
+};
 
-/** Canonical names of the model variables (labels, jobKey). */
-const char *verifySchemeName(VerifyScheme scheme);
-const char *invalSchemeName(InvalScheme scheme);
-const char *selectPolicyName(SelectPolicy policy);
+/** The canonical name of @p value in @p table (labels, jobKey). */
+template <typename E, std::size_t N>
+constexpr const char *
+spellingOf(const Spelling<E> (&table)[N], E value)
+{
+    for (const Spelling<E> &s : table) {
+        if (s.value == value)
+            return s.name;
+    }
+    return "?";
+}
+
+inline constexpr Spelling<VerifyScheme> kVerifySchemeSpellings[] = {
+    {"flattened", VerifyScheme::Flattened},
+    {"hierarchical", VerifyScheme::Hierarchical},
+    {"retirement", VerifyScheme::RetirementBased},
+    {"hybrid", VerifyScheme::Hybrid},
+    {"flat", VerifyScheme::Flattened},
+    {"hier", VerifyScheme::Hierarchical},
+    {"retire", VerifyScheme::RetirementBased},
+};
+
+inline constexpr Spelling<InvalScheme> kInvalSchemeSpellings[] = {
+    {"flattened", InvalScheme::Flattened},
+    {"hierarchical", InvalScheme::Hierarchical},
+    {"complete", InvalScheme::Complete},
+    {"flat", InvalScheme::Flattened},
+    {"hier", InvalScheme::Hierarchical},
+};
+
+inline constexpr Spelling<SelectPolicy> kSelectPolicySpellings[] = {
+    {"typed-spec-last", SelectPolicy::TypedSpecLast},
+    {"typed-only", SelectPolicy::TypedOnly},
+    {"oldest-first", SelectPolicy::OldestFirst},
+    {"typed-spec-first", SelectPolicy::TypedSpecFirst},
+};
+
+inline const char *
+verifySchemeName(VerifyScheme scheme)
+{
+    return spellingOf(kVerifySchemeSpellings, scheme);
+}
+
+inline const char *
+invalSchemeName(InvalScheme scheme)
+{
+    return spellingOf(kInvalSchemeSpellings, scheme);
+}
+
+inline const char *
+selectPolicyName(SelectPolicy policy)
+{
+    return spellingOf(kSelectPolicySpellings, policy);
+}
+
+inline void
+SpecModel::setLatencies(const SpecModel &from)
+{
+    name = from.name;
+    execToEquality = from.execToEquality;
+    equalityToInvalidate = from.equalityToInvalidate;
+    equalityToVerify = from.equalityToVerify;
+    verifyToFreeResource = from.verifyToFreeResource;
+    invalidateToReissue = from.invalidateToReissue;
+    verifyToBranch = from.verifyToBranch;
+    verifyAddrToMem = from.verifyAddrToMem;
+}
 
 inline SpecModel
 SpecModel::superModel()

@@ -29,22 +29,30 @@ samplingRequested(const core::CoreConfig &cfg)
     return cfg.sampleK > 0;
 }
 
+std::string
+partitionError(const core::CoreConfig &cfg)
+{
+    if (cfg.shards > 0 && cfg.intervalInsts > 0)
+        return "--shards and --interval-insts are mutually exclusive: "
+               "pick one partition of the trace";
+    if (cfg.sampleK > 0 && (cfg.shards > 0 || cfg.intervalInsts > 0))
+        return "--sample is mutually exclusive with --shards/"
+               "--interval-insts: sampled replay chooses its own "
+               "interval partition";
+    if (cfg.sampleIntervalInsts > 0 && cfg.sampleK == 0)
+        return "--sample-interval-insts needs --sample";
+    if (cfg.warmupInsts != UINT64_MAX && !shardingRequested(cfg)
+        && !samplingRequested(cfg))
+        return "--warmup-insts needs --shards, --interval-insts or "
+               "--sample: it would otherwise be ignored";
+    return "";
+}
+
 void
 validatePartition(const core::CoreConfig &cfg)
 {
-    if (cfg.shards > 0 && cfg.intervalInsts > 0)
-        VSIM_FATAL("--shards and --interval-insts are mutually "
-                   "exclusive: pick one partition of the trace");
-    if (cfg.sampleK > 0 && (cfg.shards > 0 || cfg.intervalInsts > 0))
-        VSIM_FATAL("--sample is mutually exclusive with --shards/"
-                   "--interval-insts: sampled replay chooses its own "
-                   "interval partition");
-    if (cfg.sampleIntervalInsts > 0 && cfg.sampleK == 0)
-        VSIM_FATAL("--sample-interval-insts needs --sample");
-    if (cfg.warmupInsts != UINT64_MAX && !shardingRequested(cfg)
-        && !samplingRequested(cfg))
-        VSIM_FATAL("--warmup-insts needs --shards, --interval-insts "
-                   "or --sample: it would otherwise be ignored");
+    if (const std::string broken = partitionError(cfg); !broken.empty())
+        VSIM_FATAL(broken);
 }
 
 std::vector<ShardPlan>

@@ -91,13 +91,17 @@ bool shardingRequested(const core::CoreConfig &cfg);
 bool samplingRequested(const core::CoreConfig &cfg);
 
 /**
- * Fail loudly on inconsistent partition/warmup settings, whichever
- * path set them (CLI, sweep jobs, tests): cfg.shards and
- * cfg.intervalInsts are mutually exclusive, sampling excludes both, a
- * non-default cfg.warmupInsts without sharding or sampling would be
- * silently ignored, and cfg.sampleIntervalInsts is meaningless without
- * cfg.sampleK. VSIM_FATAL with a one-line diagnosis on violation.
+ * The partition/warmup rules, whichever path set the fields (CLI,
+ * sweep jobs, tests): cfg.shards and cfg.intervalInsts are mutually
+ * exclusive, sampling excludes both, a non-default cfg.warmupInsts
+ * without sharding or sampling would be silently ignored, and
+ * cfg.sampleIntervalInsts is meaningless without cfg.sampleK. Returns
+ * a one-line diagnosis of the first rule @p cfg breaks, or "" when it
+ * breaks none.
  */
+std::string partitionError(const core::CoreConfig &cfg);
+
+/** VSIM_FATAL with partitionError(cfg), when there is one. */
 void validatePartition(const core::CoreConfig &cfg);
 
 /**

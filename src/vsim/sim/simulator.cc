@@ -74,6 +74,21 @@ traceWorkloadPath(const std::string &name)
     return name.substr(sizeof(kTraceWorkloadPrefix) - 1);
 }
 
+RunResult
+makeRunResult(const std::string &workload, const core::SimOutcome &out)
+{
+    RunResult r;
+    r.workload = workload;
+    r.stats = out.stats;
+    r.instructions = out.stats.retired;
+    r.ipc = out.stats.ipc();
+    r.exitCode = out.exitCode;
+    r.output = out.output;
+    r.intervals = out.intervals;
+    r.ledger = out.ledger;
+    return r;
+}
+
 namespace
 {
 
@@ -157,17 +172,7 @@ runWorkload(const std::string &name, int scale,
     const core::SimOutcome out = simulate(name, scale, cfg);
     VSIM_ASSERT(out.halted, "workload ", name,
                 " did not finish within the cycle limit");
-
-    RunResult r;
-    r.workload = name;
-    r.stats = out.stats;
-    r.instructions = out.stats.retired;
-    r.ipc = out.stats.ipc();
-    r.exitCode = out.exitCode;
-    r.output = out.output;
-    r.intervals = out.intervals;
-    r.ledger = out.ledger;
-    return r;
+    return makeRunResult(name, out);
 }
 
 double

@@ -22,6 +22,11 @@
 #include "vsim/obs/interval.hh"
 #include "vsim/obs/ledger.hh"
 
+namespace vsim::core
+{
+struct SimOutcome; // ooo_core.hh
+} // namespace vsim::core
+
 namespace vsim::sim
 {
 
@@ -73,6 +78,14 @@ struct RunResult
     /** Per-prediction lifecycle records (empty unless cfg.specLedger). */
     obs::SpecLedger ledger;
 };
+
+/**
+ * The RunResult of one core run of @p workload: its statistics, exit
+ * code and output as @p out has them. Every unsharded run, through
+ * runWorkload or on a core of its own, reports through here.
+ */
+RunResult makeRunResult(const std::string &workload,
+                        const core::SimOutcome &out);
 
 /**
  * Workload names with this prefix are trace replays: the rest of the

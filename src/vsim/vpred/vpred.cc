@@ -1,5 +1,7 @@
 #include "vpred.hh"
 
+#include <utility>
+
 #include "vsim/base/logging.hh"
 
 namespace vsim::vpred
@@ -320,17 +322,44 @@ HybridPredictor::restore(StateReader &r)
     ringNext = r.u64();
 }
 
+namespace
+{
+
+template <typename P>
+std::unique_ptr<ValuePredictor>
+build()
+{
+    return std::make_unique<P>();
+}
+
+/** Every predictor makeValuePredictor builds, by name. */
+constexpr std::pair<const char *, std::unique_ptr<ValuePredictor> (*)()>
+    kPredictors[] = {{"fcm", build<FcmPredictor>},
+                     {"last-value", build<LastValuePredictor>},
+                     {"stride", build<StridePredictor>},
+                     {"hybrid", build<HybridPredictor>}};
+
+} // namespace
+
+const std::vector<std::string> &
+valuePredictorNames()
+{
+    static const std::vector<std::string> names = [] {
+        std::vector<std::string> v;
+        for (const auto &p : kPredictors)
+            v.push_back(p.first);
+        return v;
+    }();
+    return names;
+}
+
 std::unique_ptr<ValuePredictor>
 makeValuePredictor(const std::string &kind)
 {
-    if (kind == "fcm")
-        return std::make_unique<FcmPredictor>();
-    if (kind == "last-value")
-        return std::make_unique<LastValuePredictor>();
-    if (kind == "stride")
-        return std::make_unique<StridePredictor>();
-    if (kind == "hybrid")
-        return std::make_unique<HybridPredictor>();
+    for (const auto &[name, make] : kPredictors) {
+        if (kind == name)
+            return make();
+    }
     VSIM_FATAL("unknown value predictor '", kind, "'");
 }
 

@@ -232,7 +232,10 @@ class HybridPredictor : public ValuePredictor
     std::uint64_t ringNext = 0;
 };
 
-/** Factory: "fcm", "last-value", "stride", "hybrid". */
+/** The predictors makeValuePredictor builds, by name. */
+const std::vector<std::string> &valuePredictorNames();
+
+/** Factory: one of valuePredictorNames(). */
 std::unique_ptr<ValuePredictor> makeValuePredictor(
     const std::string &kind);
 

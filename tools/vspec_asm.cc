@@ -11,12 +11,11 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
 
-#include "cli_counts.hh"
+#include "cli.hh"
 #include "vsim/arch/functional_core.hh"
 #include "vsim/assembler/assembler.hh"
 #include "vsim/base/logging.hh"
@@ -26,35 +25,11 @@ int
 main(int argc, char **argv)
 {
     using namespace vsim;
-    const cli::CountParser counts{argv[0]};
-
-    std::string file;
-    bool list = false, run = false;
-    std::uint64_t max_insts = 100'000'000;
-
-    for (int i = 1; i < argc; ++i) {
-        if (!std::strcmp(argv[i], "--list")) {
-            list = true;
-        } else if (!std::strcmp(argv[i], "--run")) {
-            run = true;
-        } else if (!std::strcmp(argv[i], "--max") && i + 1 < argc) {
-            max_insts = counts.positiveU64("--max", argv[++i]);
-        } else if (argv[i][0] != '-' && file.empty()) {
-            file = argv[i];
-        } else {
-            std::fprintf(stderr,
-                         "usage: %s FILE.s [--list] [--run] "
-                         "[--max N]\n",
-                         argv[0]);
-            return 2;
-        }
-    }
-    if (file.empty() || (!list && !run)) {
-        std::fprintf(stderr,
-                     "usage: %s FILE.s [--list] [--run] [--max N]\n",
-                     argv[0]);
-        return 2;
-    }
+    const cli::Parsed args(cli::Asm, argc, argv);
+    const std::string file = args.text("FILE.s");
+    const bool list = args.has("--list"), run = args.has("--run");
+    if (file.empty() || (!list && !run))
+        args.usage();
 
     std::ifstream in(file);
     if (!in) {
@@ -84,7 +59,8 @@ main(int argc, char **argv)
         }
         if (run) {
             arch::FunctionalCore core(prog);
-            const std::uint64_t n = core.run(max_insts);
+            const std::uint64_t n =
+                core.run(args.count("--max", 100'000'000));
             if (!core.state().output.empty())
                 std::printf("output: %s\n",
                             core.state().output.c_str());

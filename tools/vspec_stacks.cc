@@ -28,6 +28,7 @@
 #include <utility>
 #include <vector>
 
+#include "cli.hh"
 #include "vsim/obs/cpi.hh"
 
 namespace
@@ -62,16 +63,6 @@ struct StackRow
         return t;
     }
 };
-
-void
-usage(const char *argv0)
-{
-    std::fprintf(stderr,
-                 "usage: %s A.json B.json\n"
-                 "  A/B: vspec-run --json/--stacks or vspec-sweep "
-                 "--json/--stacks output\n",
-                 argv0);
-}
 
 /**
  * Split a JSON document into the texts of its top-level objects: the
@@ -253,10 +244,9 @@ diffOne(const StackRow &a, const StackRow &b)
 int
 main(int argc, char **argv)
 {
-    if (argc != 3) {
-        usage(argv[0]);
-        return 2;
-    }
+    const vsim::cli::Parsed args(vsim::cli::Stacks, argc, argv);
+    if (!args.has("B.json"))
+        args.usage();
     std::vector<StackRow> as, bs;
     if (!loadStacks(argv[1], as) || !loadStacks(argv[2], bs))
         return 1;

@@ -12,13 +12,11 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
 
-#include "cli_counts.hh"
+#include "cli.hh"
 #include "vsim/assembler/assembler.hh"
 #include "vsim/base/logging.hh"
 #include "vsim/base/thread_pool.hh"
@@ -27,29 +25,6 @@
 
 namespace
 {
-
-void
-usage(const char *argv0)
-{
-    std::fprintf(
-        stderr,
-        "usage: %s (--workload NAME | --asm FILE) [--scale N] -o FILE\n"
-        "       %s --all [--scale N] --out-dir DIR\n"
-        "  --workload NAME   one of:",
-        argv0, argv0);
-    for (const auto &w : vsim::workloads::all())
-        std::fprintf(stderr, " %s", w.name.c_str());
-    std::fprintf(
-        stderr,
-        "\n"
-        "  --asm FILE        assemble and trace a VRISC .s file\n"
-        "  --all             trace every built-in workload into "
-        "--out-dir\n"
-        "  --scale N         workload work factor (default: built-in)\n"
-        "  -o, --out FILE    output trace path\n"
-        "  --out-dir DIR     output directory for --all "
-        "(files are <name>.vst)\n");
-}
 
 /** Record @p prog to @p path and re-validate the file end to end. */
 void
@@ -78,46 +53,17 @@ int
 main(int argc, char **argv)
 {
     using namespace vsim;
-    const cli::CountParser counts{argv[0], usage};
-
-    std::string workload, asm_file, out_path, out_dir;
-    int scale = -1;
-    bool all = false;
-
-    for (int i = 1; i < argc; ++i) {
-        auto need_value = [&](const char *flag) -> const char * {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "%s needs a value\n", flag);
-                std::exit(2);
-            }
-            return argv[++i];
-        };
-        if (!std::strcmp(argv[i], "--workload")) {
-            workload = need_value("--workload");
-        } else if (!std::strcmp(argv[i], "--asm")) {
-            asm_file = need_value("--asm");
-        } else if (!std::strcmp(argv[i], "--all")) {
-            all = true;
-        } else if (!std::strcmp(argv[i], "--scale")) {
-            scale = counts.positiveInt("--scale", need_value("--scale"));
-        } else if (!std::strcmp(argv[i], "-o")
-                   || !std::strcmp(argv[i], "--out")) {
-            out_path = need_value("--out");
-        } else if (!std::strcmp(argv[i], "--out-dir")) {
-            out_dir = need_value("--out-dir");
-        } else {
-            usage(argv[0]);
-            return 2;
-        }
-    }
-
-    const int sources = (workload.empty() ? 0 : 1)
-                        + (asm_file.empty() ? 0 : 1) + (all ? 1 : 0);
-    if (sources != 1 || (all ? (out_dir.empty() || !out_path.empty())
-                             : (out_path.empty() || !out_dir.empty()))) {
-        usage(argv[0]);
-        return 2;
-    }
+    const cli::Parsed args(cli::Tracegen, argc, argv);
+    const std::string workload = args.text("--workload");
+    const std::string asm_file = args.text("--asm");
+    const std::string out_path = args.text("--out");
+    const std::string out_dir = args.text("--out-dir");
+    const int scale = static_cast<int>(args.count("--scale", -1));
+    const bool all = args.has("--all");
+    if (workload.empty() + asm_file.empty() + !all != 2
+        || (all ? (out_dir.empty() || !out_path.empty())
+                : (out_path.empty() || !out_dir.empty())))
+        args.usage();
 
     try {
         if (all) {
