@@ -42,10 +42,11 @@ cmake --build build-tsan -j --target test_sweep test_obs test_cpi \
 ./build-tsan/tests/test_sweepdiff
 # The shard runner's worker pool hands per-shard results back across
 # threads for the ordered merge, and at finite warmup it takes each
-# snapshot from the caller's warmup pass while earlier shards run; the
-# two inline-vs-pool identity tests drive both end to end.
+# snapshot from the caller's warmup pass while earlier shards run, and
+# the caller then runs the plans still queued beside the workers; the
+# inline-vs-pool identity tests drive all of it end to end.
 ./build-tsan/tests/test_shard --gtest_filter=\
-'ShardMerge.ParallelWorkersMatchInline:ShardMerge.FiniteWarmupParallelMatchesInline'
+'ShardMerge.ParallelWorkersMatchInline:ShardMerge.FiniteWarmupParallelMatchesInline:ShardMerge.MorePlansThanWorkersMatchInline'
 # The disk-backed RunCache: DiskRunCache store, load and eviction,
 # the path a sweep's pool workers take on a miss. The fork-based
 # two-process test stays out: forking a threaded TSan process is
@@ -68,10 +69,12 @@ cmake --build build-tsan -j --target test_sample
 # (defects at worker-range seams and deep in the file included), the
 # queens round trip loads on 1, 2, 3, 4 and 7, and failed loads must
 # join every worker. TraceWriter.* checks that recording and a
-# one-worker load start no thread.
+# one-worker load start no thread. TraceHash.* digests the cache key's
+# blocks on 1 to 7 workers, and eight threads ask for one file's key at
+# once.
 cmake --build build-tsan -j --target test_trace
 ./build-tsan/tests/test_trace --gtest_filter=\
-'TraceReject.*:TraceRoundTrip.Queens:TraceWorkload.*:TraceWriter.*'
+'TraceReject.*:TraceRoundTrip.Queens:TraceWorkload.*:TraceWriter.*:TraceHash.*'
 
 echo "== tier-1: Address+UB Sanitizer (core, policy, scheduler, sweep, CLI) =="
 # UBSan only prints by default; halting turns every report into a
@@ -136,15 +139,17 @@ cmake --build build-asan -j --target test_trace
 ./build-asan/tests/test_trace --gtest_filter=\
 'TraceReject.*:TraceHash.*:TraceRoundTrip.Queens:TraceWorkload.*:TraceWriter.*'
 # Snapshot serialization moves raw bytes through tagged sections, and
-# the full-warmup shard merge walks every seam-coalescing path
-# (interval halves, ledger carries) over slot-indexed state — both
-# sanitizer territory, as is the finite-warmup pool, which frees each
-# shared snapshot after the last core restores it. The remaining shard
+# the table savers copy whole arrays in and out of them
+# (TableRoundTrip.*); the full-warmup shard merge walks every
+# seam-coalescing path (interval halves, ledger carries) over
+# slot-indexed state — all sanitizer territory, as is the
+# finite-warmup pool, which frees each shared snapshot after the last
+# core restores it, on a worker or on the caller. The remaining shard
 # tests rerun whole kernels many times over; ctest covers them
 # unsanitized.
 cmake --build build-asan -j --target test_shard
 ./build-asan/tests/test_shard --gtest_filter=\
-'Snapshot.*:PlanShards.*:ShardMerge.FullWarmupIdenticalAcrossShardCounts:ShardMerge.ParallelWorkersMatchInline:ShardMerge.FiniteWarmupParallelMatchesInline'
+'Snapshot.*:PlanShards.*:TableRoundTrip.*:ShardMerge.FullWarmupIdenticalAcrossShardCounts:ShardMerge.ParallelWorkersMatchInline:ShardMerge.FiniteWarmupParallelMatchesInline:ShardMerge.MorePlansThanWorkersMatchInline'
 # The disk-cache codec moves raw bytes through hand-rolled buffers
 # and checksum scans — ASan/UBSan territory end to end (including the
 # corrupt/truncated eviction paths and the fork-based two-process
@@ -161,7 +166,8 @@ cmake --build build-asan -j --target test_sample
 # Argv is input from outside the program: build the tools here and run
 # every CLI rejection test (ctest label cli_reject) against them, so
 # the option table's parser and each rule it checks run under ASan and
-# UBSan on malformed counts, unknown choices and broken flag rules.
+# UBSan on malformed counts, unknown choices and broken flag rules, and
+# each tool that assembles a .s file on one that cannot be opened.
 cmake --build build-asan -j --target vspec_run vspec_sweep \
     vspec_tracegen vspec_asm vspec_stacks
 (cd build-asan && ctest -L cli_reject --output-on-failure -j "$(nproc)")

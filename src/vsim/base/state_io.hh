@@ -27,6 +27,7 @@
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "logging.hh"
@@ -76,6 +77,22 @@ class StateWriter
     bytes(const std::uint8_t *data, std::size_t len)
     {
         buf.insert(buf.end(), data, data + len);
+    }
+
+    /**
+     * The @p n elements of @p data as their object bytes, in one copy:
+     * the bulk form for large tables. Host byte order, little-endian
+     * on every supported host; an element type with padding would
+     * write indeterminate bytes, so it does not compile.
+     */
+    template <typename T>
+    void
+    array(const T *data, std::size_t n)
+    {
+        static_assert(std::has_unique_object_representations_v<T>,
+                      "array() needs a type without padding bytes");
+        static_assert(std::endian::native == std::endian::little);
+        bytes(reinterpret_cast<const std::uint8_t *>(data), n * sizeof(T));
     }
 
     const std::vector<std::uint8_t> &data() const { return buf; }
@@ -150,6 +167,18 @@ class StateReader
         need(len);
         std::memcpy(out, buf + pos, len);
         pos += len;
+    }
+
+    /** Refill the @p n elements of @p out written by StateWriter::array. */
+    template <typename T>
+    void
+    array(T *out, std::size_t n)
+    {
+        static_assert(std::has_unique_object_representations_v<T>,
+                      "array() needs a type without padding bytes");
+        need(n * sizeof(T));
+        std::memcpy(static_cast<void *>(out), buf + pos, n * sizeof(T));
+        pos += n * sizeof(T);
     }
 
     bool done() const { return pos == size; }

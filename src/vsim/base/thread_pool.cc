@@ -55,6 +55,32 @@ ThreadPool::wait()
     allIdle.wait(lock, [this] { return queue.empty() && running == 0; });
 }
 
+bool
+ThreadPool::runOne()
+{
+    std::function<void()> task;
+    {
+        std::unique_lock<std::mutex> lock(mtx);
+        if (queue.empty())
+            return false;
+        task = std::move(queue.front());
+        queue.pop_front();
+        ++running;
+    }
+    execute(task);
+    return true;
+}
+
+void
+ThreadPool::execute(std::function<void()> &task)
+{
+    task();
+    std::unique_lock<std::mutex> lock(mtx);
+    --running;
+    if (queue.empty() && running == 0)
+        allIdle.notify_all();
+}
+
 int
 ThreadPool::defaultThreadCount()
 {
@@ -86,13 +112,7 @@ ThreadPool::workerLoop(int index)
             queue.pop_front();
             ++running;
         }
-        task();
-        {
-            std::unique_lock<std::mutex> lock(mtx);
-            --running;
-            if (queue.empty() && running == 0)
-                allIdle.notify_all();
-        }
+        execute(task);
     }
 }
 

@@ -3,7 +3,8 @@
  * Fixed-size worker pool with a FIFO work queue, used by the sweep
  * engine to run independent simulations in parallel. Deliberately
  * minimal: no futures, no work stealing — callers own their result
- * slots and synchronise via wait().
+ * slots and synchronise via wait(). A caller with nothing else to do
+ * may drain the queue beside the workers (runOne()).
  */
 
 #ifndef VSIM_BASE_THREAD_POOL_HH
@@ -43,6 +44,12 @@ class ThreadPool
     /** Block until every submitted task has finished running. */
     void wait();
 
+    /**
+     * Run the oldest queued task on the calling thread, as a worker
+     * would. Returns false, running nothing, when no task is queued.
+     */
+    bool runOne();
+
     int threadCount() const { return static_cast<int>(workers.size()); }
 
     /** Hardware concurrency, with a floor of 1 when unknown. */
@@ -57,6 +64,8 @@ class ThreadPool
 
   private:
     void workerLoop(int index);
+    /** Run @p task, taken off the queue, and account for its end. */
+    void execute(std::function<void()> &task);
 
     std::vector<std::thread> workers;
     std::deque<std::function<void()>> queue;

@@ -11,9 +11,11 @@ namespace
 void
 saveCounters(StateWriter &w, const std::vector<SatCounter> &table)
 {
-    w.u64(table.size());
-    for (const SatCounter &ctr : table)
-        w.u8(static_cast<std::uint8_t>(ctr.raw()));
+    std::vector<std::uint8_t> raw(table.size());
+    for (std::size_t i = 0; i < table.size(); ++i)
+        raw[i] = static_cast<std::uint8_t>(table[i].raw());
+    w.u64(raw.size());
+    w.array(raw.data(), raw.size());
 }
 
 void
@@ -22,8 +24,10 @@ restoreCounters(StateReader &r, std::vector<SatCounter> &table)
     const std::uint64_t n = r.u64();
     VSIM_ASSERT(n == table.size(),
                 "branch-predictor snapshot geometry mismatch");
-    for (SatCounter &ctr : table)
-        ctr.setRaw(r.u8());
+    std::vector<std::uint8_t> raw(table.size());
+    r.array(raw.data(), raw.size());
+    for (std::size_t i = 0; i < table.size(); ++i)
+        table[i].setRaw(raw[i]);
 }
 
 } // namespace

@@ -106,14 +106,19 @@ Cache::probe(std::uint64_t addr) const
 void
 Cache::save(StateWriter &w) const
 {
+    // A Line has padding: its flags and its words go as two arrays.
     w.tag("CACH");
     w.u64(lines.size());
-    for (const Line &line : lines) {
-        w.boolean(line.valid);
-        w.boolean(line.dirty);
-        w.u64(line.tag);
-        w.u64(line.lastUse);
+    std::vector<std::uint8_t> flags(lines.size());
+    std::vector<std::uint64_t> words(2 * lines.size());
+    for (std::size_t i = 0; i < lines.size(); ++i) {
+        flags[i] = static_cast<std::uint8_t>(lines[i].valid
+                                             | (lines[i].dirty << 1));
+        words[2 * i] = lines[i].tag;
+        words[2 * i + 1] = lines[i].lastUse;
     }
+    w.array(flags.data(), flags.size());
+    w.array(words.data(), words.size());
     w.u64(useCounter);
     accesses.save(w);
     w.u64(writebackCount);
@@ -126,11 +131,15 @@ Cache::restore(StateReader &r)
     const std::uint64_t n = r.u64();
     VSIM_ASSERT(n == lines.size(),
                 cfg.name, ": snapshot geometry mismatch");
-    for (Line &line : lines) {
-        line.valid = r.boolean();
-        line.dirty = r.boolean();
-        line.tag = r.u64();
-        line.lastUse = r.u64();
+    std::vector<std::uint8_t> flags(lines.size());
+    std::vector<std::uint64_t> words(2 * lines.size());
+    r.array(flags.data(), flags.size());
+    r.array(words.data(), words.size());
+    for (std::size_t i = 0; i < lines.size(); ++i) {
+        lines[i].valid = flags[i] & 1;
+        lines[i].dirty = flags[i] & 2;
+        lines[i].tag = words[2 * i];
+        lines[i].lastUse = words[2 * i + 1];
     }
     useCounter = r.u64();
     accesses.restore(r);

@@ -18,6 +18,7 @@
 #include "sweep.hh"
 #include "vsim/base/logging.hh"
 #include "vsim/base/stats.hh"
+#include "vsim/vpred/vpred.hh"
 #include "vsim/workloads/workloads.hh"
 
 namespace vsim::sim
@@ -472,14 +473,14 @@ confidenceFigure(const SweepOptions &opt)
 }
 
 /**
- * Value-predictor choice: FCM, last-value, stride and hybrid on 8/48,
- * great model, oracle confidence and immediate updates.
+ * Value-predictor choice: every predictor makeValuePredictor builds
+ * (FCM, last-value, stride and hybrid), in that order, on 8/48, great
+ * model, oracle confidence and immediate updates.
  */
 Figure
 predictorsFigure(const SweepOptions &opt)
 {
-    const std::vector<std::string> preds = {"fcm", "last-value", "stride",
-                                            "hybrid"};
+    const std::vector<std::string> &preds = vpred::valuePredictorNames();
     Figure f(opt);
     const std::size_t base = f.add(kMiddle, baseConfig(kMiddle));
     std::vector<std::size_t> blocks;

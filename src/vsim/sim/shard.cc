@@ -96,6 +96,13 @@ planShards(std::uint64_t len, const core::CoreConfig &cfg)
     return plan;
 }
 
+int
+shardWorkers(const core::CoreConfig &cfg)
+{
+    return cfg.shardJobs <= 0 ? ThreadPool::defaultThreadCount()
+                              : cfg.shardJobs;
+}
+
 namespace
 {
 
@@ -107,14 +114,6 @@ struct ShardResult
     double wallSeconds = 0.0;
     std::exception_ptr error;
 };
-
-/** Workers a sharded or sampled run uses (cfg.shardJobs; 0 = all). */
-int
-shardWorkers(const core::CoreConfig &cfg)
-{
-    return cfg.shardJobs <= 0 ? ThreadPool::defaultThreadCount()
-                              : cfg.shardJobs;
-}
 
 double
 secondsSince(std::chrono::steady_clock::time_point t0)
@@ -134,13 +133,18 @@ secondsSince(std::chrono::steady_clock::time_point t0)
  * With a pool (cfg.shardJobs workers and more than one plan), the
  * warmup overlaps the detailed cores: cold plans are submitted at
  * once, and each warm plan the moment its snapshot is minted, so the
- * workers run while the caller warms up towards the next point. Inline
- * (one worker), the warmup runs first and the plans then run in order.
- * Either way each result lands at its plan index, so the merge does
- * not depend on the schedule, and a snapshot is freed once the last
- * core that starts from it has restored it. @p what labels the
- * progress lines ("shard" or "sample rep"), which give times as
- * offsets from the call.
+ * workers run while the caller warms up towards the next point. Once
+ * the last snapshot is minted the caller joins the workers, running
+ * queued plans oldest first until none is left, so the last plans
+ * never wait for a worker to free while the warmup thread idles; at
+ * most the N workers and the caller simulate at once, as during the
+ * warmup. Without a warmup (every plan starts at instruction 0) the
+ * caller only waits, so N workers mean N cores. Inline (one worker),
+ * the warmup runs first and the plans then run in order. Either way
+ * each result lands at its plan index, so the merge does not depend on
+ * the schedule, and a snapshot is freed once the last core that starts
+ * from it has restored it. @p what labels the progress lines ("shard"
+ * or "sample rep"), which give times as offsets from the call.
  */
 std::vector<ShardResult>
 executePlans(const core::CoreConfig &cfg, const assembler::Program &prog,
@@ -218,6 +222,9 @@ executePlans(const core::CoreConfig &cfg, const assembler::Program &prog,
         VSIM_INFORM(what, " warmup: ", points.size(),
                     " snapshot(s) of ", len, " insts, the last at ",
                     secondsSince(t0), "s");
+        // The warmup thread joins the workers for the plans still queued.
+        while (pool && pool->runOne())
+            continue;
     }
     if (pool) {
         pool->wait();

@@ -16,11 +16,12 @@
  * every snapshot in trace order. On a pool (more than one worker),
  * shards starting at instruction 0 are submitted at once and every
  * other shard the moment its snapshot is minted, so `--jobs N` runs N
- * detailed cores beside the warmup thread. With one worker the warmup
- * runs first and the shards then run in order. Results are merged by
- * shard index, so the schedule never shows in a result, and each
- * snapshot is freed once the last core starting from it has restored
- * it.
+ * detailed cores beside the warmup thread; once the warmup ends, the
+ * caller runs the shards still queued beside the workers. With one
+ * worker the warmup runs first and the shards then run in order.
+ * Results are merged by shard index, so the schedule never shows in a
+ * result, and each snapshot is freed once the last core starting from
+ * it has restored it.
  *
  * Exactness (documented error bounds in DESIGN.md):
  *
@@ -103,6 +104,13 @@ std::string partitionError(const core::CoreConfig &cfg);
 
 /** VSIM_FATAL with partitionError(cfg), when there is one. */
 void validatePartition(const core::CoreConfig &cfg);
+
+/**
+ * Workers a run of @p cfg loads, digests and simulates on:
+ * cfg.shardJobs (--jobs / --shard-jobs), or one per hardware thread
+ * when that is 0.
+ */
+int shardWorkers(const core::CoreConfig &cfg);
 
 /**
  * Partition a trace of @p len instructions per cfg.shards /

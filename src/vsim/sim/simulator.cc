@@ -97,6 +97,15 @@ std::atomic<std::uint64_t> kernelBuilds{0};
 } // namespace
 
 std::shared_ptr<const BuiltKernel>
+buildKernel(assembler::Program program)
+{
+    auto k = std::make_shared<BuiltKernel>();
+    k->program = std::move(program);
+    k->trace = arch::preExecute(k->program);
+    return k;
+}
+
+std::shared_ptr<const BuiltKernel>
 sharedKernel(const std::string &name, int scale)
 {
     struct Entry
@@ -116,9 +125,8 @@ sharedKernel(const std::string &name, int scale)
     std::lock_guard<std::mutex> lock(entry.mutex);
     if (std::shared_ptr<const BuiltKernel> k = entry.kernel.lock())
         return k;
-    auto k = std::make_shared<BuiltKernel>();
-    k->program = workloads::buildProgram(w, scale);
-    k->trace = arch::preExecute(k->program);
+    const std::shared_ptr<const BuiltKernel> k =
+        buildKernel(workloads::buildProgram(w, scale));
     entry.kernel = k;
     kernelBuilds.fetch_add(1, std::memory_order_relaxed);
     return k;

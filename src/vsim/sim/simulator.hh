@@ -114,6 +114,9 @@ struct BuiltKernel
     arch::ExecTrace trace; //!< the oracle trace of `program`
 };
 
+/** @p program with its oracle trace, pre-executed on the functional core. */
+std::shared_ptr<const BuiltKernel> buildKernel(assembler::Program program);
+
 /**
  * Kernel @p name at @p scale, shared among the runs alive at once:
  * while any holder keeps the result, a request for the same

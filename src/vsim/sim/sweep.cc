@@ -9,6 +9,7 @@
 #include <utility>
 
 #include "disk_cache.hh"
+#include "shard.hh"
 #include "vsim/base/logging.hh"
 #include "vsim/base/thread_pool.hh"
 #include "vsim/trace/trace_io.hh"
@@ -37,11 +38,13 @@ jobKey(const SweepJob &job)
     // not its path: the same path can hold a different recording
     // across tool invocations, so the key carries the file's hash
     // (memoised per path and file identity, so a file re-recorded in
-    // place while the process lives is hashed again).
+    // place while the process lives is hashed again), digested on the
+    // workers the run loads it on.
     os << job.workload << '@' << job.scale;
     if (isTraceWorkload(job.workload)) {
         os << '#' << std::hex
-           << trace::traceFileHash(traceWorkloadPath(job.workload))
+           << trace::traceFileHash(traceWorkloadPath(job.workload),
+                                   shardWorkers(c))
            << std::dec;
     }
     os << ';';

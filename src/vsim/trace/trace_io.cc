@@ -5,6 +5,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <cerrno>
 #include <chrono>
@@ -21,8 +22,8 @@ namespace vsim::trace
 namespace
 {
 
-/** Chunk size for whole-file hashing (a multiple of the 32-byte stripe). */
-constexpr std::size_t kChunkBytes = 256 * 1024;
+/** Block size of the key digest (traceFileHash). */
+constexpr std::uint64_t kKeyBlockBytes = 1 << 20;
 
 // XXH64 (seed 0): four 64-bit multiply-rotate lanes over 32-byte
 // stripes, then the byte tail, the length and a final avalanche.
@@ -344,26 +345,6 @@ class InputFile
                 static_cast<std::uint64_t>(st.st_ino)};
     }
 
-    /** Read up to @p len bytes; comes up short only at end of file. */
-    std::uint64_t
-    readSome(void *bytes, std::uint64_t len)
-    {
-        char *p = static_cast<char *>(bytes);
-        std::uint64_t done = 0;
-        while (done < len) {
-            const ssize_t n = ::read(fd, p + done, len - done);
-            if (n == 0)
-                break;
-            if (n < 0) {
-                if (errno == EINTR)
-                    continue;
-                VSIM_FATAL("read failed on trace file: ", path);
-            }
-            done += static_cast<std::uint64_t>(n);
-        }
-        return done;
-    }
-
     /**
      * Read exactly @p len bytes at @p offset or reject the file as
      * truncated. Leaves the read position alone, so workers may call
@@ -664,45 +645,96 @@ recordTrace(const assembler::Program &prog, const std::string &path,
     return writer.recordCount();
 }
 
+namespace
+{
+
+std::atomic<std::uint64_t> fileHashes{0};
+
+/**
+ * The key digest of the @p size bytes of @p in (see traceFileHash),
+ * its blocks split into contiguous ranges, one per worker; the caller
+ * runs the first.
+ */
 std::uint64_t
-traceFileHash(const std::string &path)
+keyDigest(const InputFile &in, std::uint64_t size, int workers)
+{
+    const auto t0 = std::chrono::steady_clock::now();
+    const std::uint64_t blocks =
+        std::max<std::uint64_t>(1, (size + kKeyBlockBytes - 1)
+                                       / kKeyBlockBytes);
+    const std::uint64_t ranges = std::min<std::uint64_t>(
+        blocks, static_cast<std::uint64_t>(std::max(workers, 1)));
+    std::vector<std::uint64_t> digests(blocks);
+    runConcurrently(static_cast<int>(ranges), [&](int r) {
+        const std::uint64_t k = static_cast<std::uint64_t>(r);
+        // At least one byte, so an empty file still digests a valid
+        // pointer.
+        std::vector<unsigned char> block(
+            std::max<std::uint64_t>(1, std::min(kKeyBlockBytes, size)));
+        for (std::uint64_t b = blocks * k / ranges;
+             b < blocks * (k + 1) / ranges; ++b) {
+            const std::uint64_t at = b * kKeyBlockBytes;
+            const std::uint64_t len = std::min(kKeyBlockBytes, size - at);
+            in.readAt(block.data(), len, at);
+            digests[b] = xxh64(block.data(), len);
+        }
+    });
+    VSIM_INFORM("trace: key digest of ", size, " bytes in ",
+                std::chrono::duration<double>(
+                    std::chrono::steady_clock::now() - t0)
+                    .count(),
+                " s on ", ranges, ranges == 1 ? " worker" : " workers");
+    return blocks == 1 ? digests[0] : foldPieces(digests);
+}
+
+} // namespace
+
+std::uint64_t
+traceFileHash(const std::string &path, int workers)
 {
     struct Memo
     {
+        std::mutex mutex; //!< held across the digest of this path
+        bool known = false;
         FileId id;
-        std::uint64_t hash;
+        std::uint64_t hash = 0;
     };
-    static std::mutex mutex;
-    static std::map<std::string, Memo> cache;
+    static std::mutex memoMutex;
+    static std::map<std::string, Memo> memo;
 
     InputFile in(path);
     const FileId before = in.id();
-    {
-        std::lock_guard<std::mutex> lock(mutex);
-        if (auto it = cache.find(path);
-            it != cache.end() && it->second.id == before)
-            return it->second.hash;
-    }
+    std::unique_lock<std::mutex> memo_lock(memoMutex);
+    Memo &m = memo[path]; // map nodes never move
+    memo_lock.unlock();
+    // Per-path lock: a second request waits for the first digest of
+    // its own file, never for another file's.
+    std::lock_guard<std::mutex> lock(m.mutex);
+    if (m.known && m.id == before)
+        return m.hash;
 
-    // Every chunk but the last is full (readSome is short only at end
-    // of file), so only the last one leaves a partial stripe.
-    std::vector<unsigned char> chunk(kChunkBytes);
-    ContentHash hasher;
     std::uint64_t hash = 0;
-    for (;;) {
-        const std::uint64_t n = in.readSome(chunk.data(), chunk.size());
-        const std::uint64_t rest = hasher.stripes(chunk.data(), n);
-        if (n < chunk.size()) {
-            hash = hasher.finish(chunk.data() + (n - rest), rest);
-            break;
-        }
+    try {
+        hash = keyDigest(in, before.size, workers);
+    } catch (const FatalError &) {
+        // A file cut short under the digest reads as truncated; say
+        // what happened to it instead.
+        if (in.id() == before)
+            throw;
     }
     if (in.id() != before)
         VSIM_FATAL("trace file changed while it was being hashed: ", path);
-
-    std::lock_guard<std::mutex> lock(mutex);
-    cache[path] = {before, hash};
+    m.known = true;
+    m.id = before;
+    m.hash = hash;
+    fileHashes.fetch_add(1, std::memory_order_relaxed);
     return hash;
+}
+
+std::uint64_t
+traceFileHashes()
+{
+    return fileHashes.load(std::memory_order_relaxed);
 }
 
 } // namespace vsim::trace

@@ -153,17 +153,31 @@ std::uint64_t recordTrace(const assembler::Program &prog,
                           std::uint64_t max_insts = 500'000'000);
 
 /**
- * Content hash of every byte of the file at @p path: the RunCache /
- * jobKey identity of a trace workload. An XXH64 pass (four 64-bit
+ * Content hash of every byte of the file at @p path, footer included:
+ * the RunCache / jobKey identity of a trace workload. The file is cut
+ * into 1 MiB blocks, each digested with XXH64 (seed 0: four 64-bit
  * multiply-rotate lanes over 32-byte stripes, then the byte tail and
- * the length) over the whole file, footer included; the format's own
- * footer digest is taken piece by piece instead. Memoised per path and
- * file identity (size, mtime in ns, device, inode; thread-safe), so a
- * file re-recorded in place is re-hashed instead of aliasing its old
- * key. Throws vsim::FatalError for a missing or non-regular path, or a
- * file that changes while it is being hashed.
+ * the length), and the hash is the XXH64 of the block digests as
+ * little-endian words, in file order; a file of at most one block
+ * hashes to its plain XXH64. The blocks are split into contiguous
+ * ranges, one per worker (the caller runs the first, so one worker
+ * starts no thread), and the value is the same for any @p workers.
+ * Logs "trace: key digest of B bytes in X s on J workers" at info
+ * level. Memoised per path and file identity (size, mtime in ns,
+ * device, inode), so a file re-recorded in place is re-hashed instead
+ * of aliasing its old key. Thread-safe: concurrent requests for one
+ * path digest it once, and the others wait for that digest. Throws
+ * vsim::FatalError for a missing or non-regular path, or a file that
+ * changes while it is being hashed.
  */
-std::uint64_t traceFileHash(const std::string &path);
+std::uint64_t traceFileHash(const std::string &path, int workers = 1);
+
+/**
+ * Files traceFileHash() has digested in this process so far, memo
+ * hits and failed digests excluded. Read-only; tests use it to check
+ * that concurrent requests digest a file once.
+ */
+std::uint64_t traceFileHashes();
 
 } // namespace vsim::trace
 

@@ -97,19 +97,22 @@ FcmPredictor::updateTable(std::uint64_t pc, std::uint64_t token,
 void
 FcmPredictor::save(StateWriter &w) const
 {
+    // Whole arrays in one copy each: the warmup pass saves these
+    // tables once per snapshot. A PredEntry has padding, so its values
+    // and its counters go as two arrays.
     w.tag("VPFC");
     w.u64(history.size());
-    for (const HistEntry &entry : history)
-        for (std::uint16_t h : entry.vhash)
-            w.u64(h);
-    for (const HistEntry &entry : committed)
-        for (std::uint16_t h : entry.vhash)
-            w.u64(h);
+    w.array(history.data(), history.size());
+    w.array(committed.data(), committed.size());
     w.u64(table.size());
-    for (const PredEntry &entry : table) {
-        w.u64(entry.value);
-        w.u8(entry.counter);
+    std::vector<std::uint64_t> values(table.size());
+    std::vector<std::uint8_t> counters(table.size());
+    for (std::size_t i = 0; i < table.size(); ++i) {
+        values[i] = table[i].value;
+        counters[i] = table[i].counter;
     }
+    w.array(values.data(), values.size());
+    w.array(counters.data(), counters.size());
 }
 
 void
@@ -118,18 +121,16 @@ FcmPredictor::restore(StateReader &r)
     r.tag("VPFC");
     VSIM_ASSERT(r.u64() == history.size(),
                 "fcm snapshot geometry mismatch (l1)");
-    for (HistEntry &entry : history)
-        for (std::uint16_t &h : entry.vhash)
-            h = static_cast<std::uint16_t>(r.u64());
-    for (HistEntry &entry : committed)
-        for (std::uint16_t &h : entry.vhash)
-            h = static_cast<std::uint16_t>(r.u64());
+    r.array(history.data(), history.size());
+    r.array(committed.data(), committed.size());
     VSIM_ASSERT(r.u64() == table.size(),
                 "fcm snapshot geometry mismatch (l2)");
-    for (PredEntry &entry : table) {
-        entry.value = r.u64();
-        entry.counter = r.u8();
-    }
+    std::vector<std::uint64_t> values(table.size());
+    std::vector<std::uint8_t> counters(table.size());
+    r.array(values.data(), values.size());
+    r.array(counters.data(), counters.size());
+    for (std::size_t i = 0; i < table.size(); ++i)
+        table[i] = {values[i], counters[i]};
 }
 
 // ---------------------------------------------------------------------
@@ -163,8 +164,7 @@ LastValuePredictor::save(StateWriter &w) const
 {
     w.tag("VPLV");
     w.u64(table.size());
-    for (std::uint64_t v : table)
-        w.u64(v);
+    w.array(table.data(), table.size());
 }
 
 void
@@ -173,8 +173,7 @@ LastValuePredictor::restore(StateReader &r)
     r.tag("VPLV");
     VSIM_ASSERT(r.u64() == table.size(),
                 "last-value snapshot geometry mismatch");
-    for (std::uint64_t &v : table)
-        v = r.u64();
+    r.array(table.data(), table.size());
 }
 
 // ---------------------------------------------------------------------
@@ -217,11 +216,7 @@ StridePredictor::save(StateWriter &w) const
 {
     w.tag("VPST");
     w.u64(table.size());
-    for (const Entry &entry : table) {
-        w.u64(entry.last);
-        w.i64(entry.stride);
-        w.i64(entry.lastDelta);
-    }
+    w.array(table.data(), table.size());
 }
 
 void
@@ -230,11 +225,7 @@ StridePredictor::restore(StateReader &r)
     r.tag("VPST");
     VSIM_ASSERT(r.u64() == table.size(),
                 "stride snapshot geometry mismatch");
-    for (Entry &entry : table) {
-        entry.last = r.u64();
-        entry.stride = r.i64();
-        entry.lastDelta = r.i64();
-    }
+    r.array(table.data(), table.size());
 }
 
 // ---------------------------------------------------------------------
@@ -294,13 +285,8 @@ HybridPredictor::save(StateWriter &w) const
     fcm.save(w);
     stride.save(w);
     w.u64(chooser.size());
-    for (std::uint8_t c : chooser)
-        w.u8(c);
-    for (const Outstanding &o : ring) {
-        w.u64(o.fcmToken);
-        w.u64(o.fcmValue);
-        w.u64(o.strideValue);
-    }
+    w.array(chooser.data(), chooser.size());
+    w.array(ring.data(), ring.size());
     w.u64(ringNext);
 }
 
@@ -312,13 +298,8 @@ HybridPredictor::restore(StateReader &r)
     stride.restore(r);
     VSIM_ASSERT(r.u64() == chooser.size(),
                 "hybrid snapshot geometry mismatch");
-    for (std::uint8_t &c : chooser)
-        c = r.u8();
-    for (Outstanding &o : ring) {
-        o.fcmToken = r.u64();
-        o.fcmValue = r.u64();
-        o.strideValue = r.u64();
-    }
+    r.array(chooser.data(), chooser.size());
+    r.array(ring.data(), ring.size());
     ringNext = r.u64();
 }
 
@@ -405,8 +386,7 @@ ResettingConfidence::save(StateWriter &w) const
 {
     w.tag("CONF");
     w.u64(table.size());
-    for (std::uint8_t c : table)
-        w.u8(c);
+    w.array(table.data(), table.size());
 }
 
 void
@@ -415,8 +395,7 @@ ResettingConfidence::restore(StateReader &r)
     r.tag("CONF");
     VSIM_ASSERT(r.u64() == table.size(),
                 "confidence snapshot geometry mismatch");
-    for (std::uint8_t &c : table)
-        c = r.u8();
+    r.array(table.data(), table.size());
 }
 
 } // namespace vsim::vpred

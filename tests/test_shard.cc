@@ -7,8 +7,9 @@
  * against the monolithic run (stats, interval series and the
  * speculation ledger, across every kernel, both sweep kinds and
  * trace replay), the finite-warmup error bound and inline-vs-pool
- * identity, and the RunCache jobKey salting of the new partition
- * knobs.
+ * identity (more plans than workers included), the round trip of
+ * every table a snapshot saves, and the RunCache jobKey salting of the
+ * new partition knobs.
  */
 
 #include <gtest/gtest.h>
@@ -19,13 +20,18 @@
 
 #include "vsim/arch/functional_core.hh"
 #include "vsim/base/logging.hh"
+#include "vsim/base/random.hh"
+#include "vsim/base/state_io.hh"
+#include "vsim/bpred/bpred.hh"
 #include "vsim/core/ooo_core.hh"
 #include "vsim/core/snapshot.hh"
 #include "vsim/sim/disk_cache.hh"
 #include "vsim/sim/shard.hh"
 #include "vsim/sim/simulator.hh"
 #include "vsim/sim/sweep.hh"
+#include "vsim/mem/cache.hh"
 #include "vsim/trace/trace_io.hh"
+#include "vsim/vpred/vpred.hh"
 #include "vsim/workloads/workloads.hh"
 
 namespace
@@ -289,6 +295,34 @@ TEST(ShardMerge, FiniteWarmupParallelMatchesInline)
               encoded(a));
 }
 
+/**
+ * More plans than workers: when the warmup mints its last snapshot,
+ * plans are still queued, and the warmup thread runs them beside the
+ * workers. Eight finite-warmup shards and a sampled run with seven
+ * representatives must give the inline result, byte for byte, on 2
+ * and 4 workers.
+ */
+TEST(ShardMerge, MorePlansThanWorkersMatchInline)
+{
+    core::CoreConfig shards = vpShardConfig();
+    shards.shards = 8;
+    shards.warmupInsts = 20000;
+    core::CoreConfig sampled = vpShardConfig();
+    sampled.sampleK = 8;
+    sampled.sampleIntervalInsts = 20000;
+    for (core::CoreConfig cfg : {shards, sampled}) {
+        SCOPED_TRACE(cfg.sampleK ? "sampled" : "shards");
+        cfg.shardJobs = 1;
+        const std::vector<std::uint8_t> want =
+            encoded(sim::runWorkload("queens", 1, cfg));
+        for (const int jobs : {2, 4}) {
+            SCOPED_TRACE(jobs);
+            cfg.shardJobs = jobs;
+            EXPECT_EQ(encoded(sim::runWorkload("queens", 1, cfg)), want);
+        }
+    }
+}
+
 TEST(ShardMerge, FiniteWarmupStaysWithinErrorBound)
 {
     const core::CoreConfig mono = vpShardConfig();
@@ -311,6 +345,159 @@ TEST(ShardMerge, FiniteWarmupStaysWithinErrorBound)
         static_cast<std::int64_t>(got.stats.retired)
         - static_cast<std::int64_t>(want.stats.retired);
     EXPECT_LT(std::abs(drift), 64);
+}
+
+// ---- snapshot table round trips ----------------------------------------
+
+/** @p x's saved bytes. */
+template <typename T>
+std::vector<std::uint8_t>
+saved(const T &x)
+{
+    StateWriter w;
+    x.save(w);
+    return w.take();
+}
+
+/** @p bytes restored into @p x, which must consume every byte. */
+template <typename T>
+void
+restoreAll(T &x, const std::vector<std::uint8_t> &bytes)
+{
+    StateReader r(bytes);
+    x.restore(r);
+    EXPECT_TRUE(r.done());
+}
+
+/** A pc from a small pool, so tables see repeats and conflicts. */
+std::uint64_t
+somePc(Xoshiro256 &rng)
+{
+    return 0x1000 + 4 * rng.nextBounded(3000);
+}
+
+/** A value stream mixing strides, repeats and noise per pc. */
+std::uint64_t
+someValue(Xoshiro256 &rng, std::uint64_t pc, std::uint64_t i)
+{
+    switch (rng.nextBounded(3)) {
+    case 0: return pc * 8 + i;
+    case 1: return pc;
+    default: return rng.next();
+    }
+}
+
+/** One predict/train step; returns the prediction made. */
+vpred::Prediction
+vpStep(vpred::ValuePredictor &vp, std::uint64_t pc, std::uint64_t value)
+{
+    const vpred::Prediction p = vp.predict(pc);
+    vp.pushHistory(pc, p.value);
+    vp.updateTable(pc, p.token, value);
+    vp.commitHistory(pc, value, p.value == value);
+    return p;
+}
+
+/**
+ * Every value predictor: after training, restore(save(x)) into a fresh
+ * instance saves the same bytes and makes the same next predictions.
+ */
+TEST(TableRoundTrip, ValuePredictors)
+{
+    for (const std::string &name : vpred::valuePredictorNames()) {
+        SCOPED_TRACE(name);
+        Xoshiro256 rng(7);
+        auto x = vpred::makeValuePredictor(name);
+        for (std::uint64_t i = 0; i < 50000; ++i) {
+            const std::uint64_t pc = somePc(rng);
+            vpStep(*x, pc, someValue(rng, pc, i));
+        }
+        const std::vector<std::uint8_t> bytes = saved(*x);
+        auto y = vpred::makeValuePredictor(name);
+        restoreAll(*y, bytes);
+        EXPECT_EQ(saved(*y), bytes);
+        for (std::uint64_t i = 0; i < 20000; ++i) {
+            const std::uint64_t pc = somePc(rng);
+            const std::uint64_t value = someValue(rng, pc, i);
+            const vpred::Prediction a = vpStep(*x, pc, value);
+            const vpred::Prediction b = vpStep(*y, pc, value);
+            ASSERT_EQ(a.value, b.value) << "step " << i;
+            ASSERT_EQ(a.token, b.token) << "step " << i;
+        }
+    }
+}
+
+TEST(TableRoundTrip, ConfidenceTable)
+{
+    Xoshiro256 rng(11);
+    vpred::ResettingConfidence x(3, 16);
+    for (int i = 0; i < 200000; ++i)
+        x.update(somePc(rng), rng.nextBool(0.8));
+    const std::vector<std::uint8_t> bytes = saved(x);
+    vpred::ResettingConfidence y(3, 16);
+    restoreAll(y, bytes);
+    EXPECT_EQ(saved(y), bytes);
+    for (int i = 0; i < 20000; ++i) {
+        const std::uint64_t pc = somePc(rng);
+        ASSERT_EQ(x.confident(pc), y.confident(pc)) << "step " << i;
+        const bool correct = rng.nextBool(0.8);
+        x.update(pc, correct);
+        y.update(pc, correct);
+    }
+}
+
+TEST(TableRoundTrip, Gshare)
+{
+    Xoshiro256 rng(13);
+    auto x = bpred::makeBranchPredictor("gshare");
+    for (int i = 0; i < 200000; ++i) {
+        const std::uint64_t pc = somePc(rng);
+        x->predict(pc);
+        x->update(pc, rng.nextBool(pc % 3 ? 0.9 : 0.2));
+    }
+    const std::vector<std::uint8_t> bytes = saved(*x);
+    auto y = bpred::makeBranchPredictor("gshare");
+    restoreAll(*y, bytes);
+    EXPECT_EQ(saved(*y), bytes);
+    for (int i = 0; i < 20000; ++i) {
+        const std::uint64_t pc = somePc(rng);
+        ASSERT_EQ(x->predict(pc), y->predict(pc)) << "step " << i;
+        const bool taken = rng.nextBool(pc % 3 ? 0.9 : 0.2);
+        x->update(pc, taken);
+        y->update(pc, taken);
+    }
+}
+
+/** Each cache the core builds: same bytes, then same hits and victims. */
+TEST(TableRoundTrip, Caches)
+{
+    const core::CoreConfig cfg;
+    for (const mem::CacheConfig &geometry :
+         {cfg.icache, cfg.dcache, cfg.l2cache}) {
+        SCOPED_TRACE(geometry.name);
+        Xoshiro256 rng(17);
+        // Addresses over four times the capacity, so sets fill, evict
+        // and hold dirty lines.
+        const std::uint64_t span = 4 * geometry.sizeBytes;
+        mem::Cache x(geometry);
+        for (int i = 0; i < 200000; ++i)
+            x.access(rng.nextBounded(span), rng.nextBool(0.3));
+        const std::vector<std::uint8_t> bytes = saved(x);
+        mem::Cache y(geometry);
+        restoreAll(y, bytes);
+        EXPECT_EQ(saved(y), bytes);
+        for (int i = 0; i < 20000; ++i) {
+            const std::uint64_t addr = rng.nextBounded(span);
+            const bool write = rng.nextBool(0.3);
+            mem::Eviction ex, ey;
+            ASSERT_EQ(x.access(addr, write, &ex), y.access(addr, write, &ey))
+                << "step " << i;
+            ASSERT_EQ(ex.valid, ey.valid) << "step " << i;
+            ASSERT_EQ(ex.dirty, ey.dirty) << "step " << i;
+            ASSERT_EQ(ex.addr, ey.addr) << "step " << i;
+        }
+        EXPECT_EQ(x.writebacks(), y.writebacks());
+    }
 }
 
 // ---- RunCache jobKey ----------------------------------------------------

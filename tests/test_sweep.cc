@@ -18,6 +18,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -73,6 +74,34 @@ TEST(ThreadPool, DestructorDrainsQueue)
         // No wait(): the destructor must still run everything.
     }
     EXPECT_EQ(count.load(), 50);
+}
+
+/**
+ * runOne() takes the oldest queued task and runs it on the caller,
+ * while the one worker is busy; with nothing queued it runs nothing.
+ */
+TEST(ThreadPool, RunOneRunsOldestQueuedTaskOnCaller)
+{
+    ThreadPool pool(1);
+    std::atomic<bool> started{false}, release{false};
+    pool.submit([&] {
+        started = true;
+        while (!release)
+            std::this_thread::yield();
+    });
+    while (!started)
+        std::this_thread::yield();
+    std::vector<std::pair<int, int>> ran; // (task, worker index)
+    for (int i = 0; i < 2; ++i)
+        pool.submit([&ran, i] {
+            ran.emplace_back(i, ThreadPool::currentWorkerIndex());
+        });
+    EXPECT_TRUE(pool.runOne());
+    EXPECT_TRUE(pool.runOne());
+    EXPECT_FALSE(pool.runOne());
+    release = true;
+    pool.wait();
+    EXPECT_EQ(ran, (std::vector<std::pair<int, int>>{{0, -1}, {1, -1}}));
 }
 
 TEST(ThreadPool, ClampsToOneWorker)

@@ -29,6 +29,8 @@
 #include <cstring>
 #include <fstream>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "vsim/arch/functional_core.hh"
@@ -760,16 +762,19 @@ TEST_F(TraceReject, RecordCountMultipleOfBurst)
 
 /**
  * The bytes recordTrace writes, footer digest included, are pinned to
- * the XXH64 of the version-2 recording of compress at scale 1 (checked
- * against an independent XXH64 of the file and of its piece digests),
- * so any change to the bytes on disk shows here.
+ * the key digest of the version-2 recording of compress at scale 1, so
+ * any change to the bytes on disk shows here. The file is 4,294,756
+ * bytes: five 1 MiB blocks, the last one short. The constant was
+ * checked against an independent XXH64 of the file's blocks and of
+ * their digests (the whole file's plain XXH64, pinned here before the
+ * digest went by blocks, is 0x5bc457b866707a1e).
  */
 TEST(TraceWriter, RecordedBytesArePinned)
 {
     const std::string path = tmpPath("pinned_compress");
     trace::recordTrace(
         workloads::buildProgram(workloads::byName("compress"), 1), path);
-    EXPECT_EQ(trace::traceFileHash(path), 0x5bc457b866707a1eull);
+    EXPECT_EQ(trace::traceFileHash(path), 0xb38d0391a35e0813ull);
     std::remove(path.c_str());
 }
 
@@ -838,6 +843,76 @@ TEST_F(TraceHash, MatchesXxh64ReferenceValues)
     const std::string abc = writeVariant("xxh_abc", {'a', 'b', 'c'});
     EXPECT_EQ(trace::traceFileHash(abc), 0x44bc2cf5ad770999ull);
     std::remove(abc.c_str());
+}
+
+/** @p n bytes of a fixed pattern with no period near a block size. */
+std::vector<char>
+hashPattern(std::size_t n)
+{
+    std::vector<char> bytes(n);
+    for (std::size_t j = 0; j < n; ++j)
+        bytes[j] = static_cast<char>((j * 131 + (j >> 9)) & 0xff);
+    return bytes;
+}
+
+constexpr std::size_t kKeyBlock = 1 << 20;
+
+/**
+ * The key digest around the block size: a file of at most one block
+ * hashes to its plain XXH64, a longer one to the XXH64 of its blocks'
+ * XXH64s. The constants come from an independent XXH64 of the same
+ * pattern.
+ */
+TEST_F(TraceHash, BlockDigestAtBlockEdges)
+{
+    const std::pair<std::size_t, std::uint64_t> cases[] = {
+        {0, 0xef46db3751d8e999ull},
+        {kKeyBlock - 1, 0x5912497fee9cdc8full},
+        {kKeyBlock, 0x77a73570e300b127ull},
+        {kKeyBlock + 1, 0x53884612077f6881ull},
+        {3 * kKeyBlock + 4321, 0xfdef7e8d4bf77726ull},
+    };
+    for (const auto &[size, want] : cases) {
+        SCOPED_TRACE(size);
+        const std::string path = writeVariant(
+            "hash_edge_" + std::to_string(size), hashPattern(size));
+        EXPECT_EQ(trace::traceFileHash(path, 3), want);
+        std::remove(path.c_str());
+    }
+}
+
+/** Ten blocks, the last one short: the same value on any worker count. */
+TEST_F(TraceHash, SameValueOnEveryWorkerCount)
+{
+    const std::vector<char> bytes = hashPattern(9 * kKeyBlock + 4321);
+    for (const int workers : {1, 2, 3, 4, 7}) {
+        SCOPED_TRACE(workers);
+        // A path of its own each time: the memo would answer a repeat.
+        const std::string path = writeVariant(
+            "hash_workers_" + std::to_string(workers), bytes);
+        EXPECT_EQ(trace::traceFileHash(path, workers),
+                  0x7884d9d087ddb451ull);
+        std::remove(path.c_str());
+    }
+}
+
+/** Eight threads asking for one file at once digest it once. */
+TEST_F(TraceHash, ConcurrentRequestsDigestOnce)
+{
+    const std::string path =
+        writeVariant("hash_concurrent", hashPattern(3 * kKeyBlock + 4321));
+    const std::uint64_t before = trace::traceFileHashes();
+    std::vector<std::uint64_t> got(8);
+    std::vector<std::thread> threads;
+    for (std::size_t i = 0; i < got.size(); ++i)
+        threads.emplace_back(
+            [&, i] { got[i] = trace::traceFileHash(path, 2); });
+    for (std::thread &t : threads)
+        t.join();
+    EXPECT_EQ(trace::traceFileHashes(), before + 1);
+    for (const std::uint64_t h : got)
+        EXPECT_EQ(h, 0xfdef7e8d4bf77726ull);
+    std::remove(path.c_str());
 }
 
 TEST_F(TraceReject, WriterRefusesUnwritablePath)

@@ -4,9 +4,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
 #include <memory>
 #include <sstream>
 
+#include "vsim/assembler/assembler.hh"
 #include "vsim/sim/disk_cache.hh"
 #include "vsim/sim/shard.hh"
 #include "vsim/sim/sweep.hh"
@@ -251,6 +253,19 @@ DiskCache::attach() const
     auto disk = std::make_shared<sim::DiskRunCache>(dir);
     disk->setMaxBytes(maxBytes);
     sim::RunCache::process().attachDisk(std::move(disk));
+}
+
+assembler::Program
+assembleFile(const std::string &path)
+{
+    std::ifstream in(path);
+    if (!in) {
+        std::fprintf(stderr, "cannot open %s\n", path.c_str());
+        std::exit(1);
+    }
+    std::ostringstream ss;
+    ss << in.rdbuf();
+    return assembler::assemble(ss.str(), path);
 }
 
 DiskCache

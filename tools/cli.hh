@@ -18,6 +18,7 @@
 #include <string_view>
 #include <vector>
 
+#include "vsim/assembler/program.hh"
 #include "vsim/core/core_config.hh"
 
 namespace vsim::cli
@@ -140,6 +141,14 @@ struct DiskCache
     /** Attach it to the process-wide run cache, if there is one. */
     void attach() const;
 };
+
+/**
+ * The VRISC assembly file @p path, assembled: the --asm / FILE.s input
+ * of vspec_run, vspec_tracegen and vspec_asm. A file that cannot be
+ * opened prints "cannot open PATH" to stderr and exits 1; an assembly
+ * error throws vsim::FatalError.
+ */
+assembler::Program assembleFile(const std::string &path);
 
 /**
  * The rules vspec_run and vspec_sweep share, checked on @p cfg, the

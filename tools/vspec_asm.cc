@@ -11,13 +11,10 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <fstream>
-#include <sstream>
 #include <string>
 
 #include "cli.hh"
 #include "vsim/arch/functional_core.hh"
-#include "vsim/assembler/assembler.hh"
 #include "vsim/base/logging.hh"
 #include "vsim/isa/isa.hh"
 
@@ -31,17 +28,8 @@ main(int argc, char **argv)
     if (file.empty() || (!list && !run))
         args.usage();
 
-    std::ifstream in(file);
-    if (!in) {
-        std::fprintf(stderr, "cannot open %s\n", file.c_str());
-        return 1;
-    }
-    std::ostringstream ss;
-    ss << in.rdbuf();
-
     try {
-        const assembler::Program prog =
-            assembler::assemble(ss.str(), file);
+        const assembler::Program prog = cli::assembleFile(file);
         std::printf("%zu instructions, %zu data bytes, entry 0x%llx\n",
                     prog.text.size(), prog.data.size(),
                     static_cast<unsigned long long>(prog.entry));

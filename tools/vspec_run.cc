@@ -16,13 +16,11 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <fstream>
 #include <memory>
 #include <sstream>
 #include <string>
 
 #include "cli.hh"
-#include "vsim/assembler/assembler.hh"
 #include "vsim/base/logging.hh"
 #include "vsim/core/ooo_core.hh"
 #include "vsim/obs/cpi.hh"
@@ -82,23 +80,10 @@ main(int argc, char **argv)
         } else {
             // A core of its own, for its pipeline tracer or for a
             // program assembled here.
-            std::shared_ptr<const sim::BuiltKernel> kernel;
-            if (asm_file.empty()) {
-                kernel = sim::workloadKernel(workload, scale);
-            } else {
-                std::ifstream in(asm_file);
-                if (!in) {
-                    std::fprintf(stderr, "cannot open %s\n",
-                                 asm_file.c_str());
-                    return 1;
-                }
-                std::ostringstream ss;
-                ss << in.rdbuf();
-                auto built = std::make_shared<sim::BuiltKernel>();
-                built->program = assembler::assemble(ss.str(), asm_file);
-                built->trace = arch::preExecute(built->program);
-                kernel = built;
-            }
+            const std::shared_ptr<const sim::BuiltKernel> kernel =
+                asm_file.empty()
+                    ? sim::workloadKernel(workload, scale)
+                    : sim::buildKernel(cli::assembleFile(asm_file));
             core::OooCore core(
                 kernel->program,
                 std::shared_ptr<const arch::ExecTrace>(kernel,

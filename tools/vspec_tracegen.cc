@@ -12,12 +12,9 @@
  */
 
 #include <cstdio>
-#include <fstream>
-#include <sstream>
 #include <string>
 
 #include "cli.hh"
-#include "vsim/assembler/assembler.hh"
 #include "vsim/base/logging.hh"
 #include "vsim/base/thread_pool.hh"
 #include "vsim/trace/trace_io.hh"
@@ -76,16 +73,7 @@ main(int argc, char **argv)
                                              scale),
                      out_path, workload);
         } else {
-            std::ifstream in(asm_file);
-            if (!in) {
-                std::fprintf(stderr, "cannot open %s\n",
-                             asm_file.c_str());
-                return 1;
-            }
-            std::ostringstream ss;
-            ss << in.rdbuf();
-            generate(assembler::assemble(ss.str(), asm_file), out_path,
-                     asm_file);
+            generate(cli::assembleFile(asm_file), out_path, asm_file);
         }
         return 0;
     } catch (const FatalError &err) {
